@@ -1,10 +1,12 @@
 """Feasibility tests, an LP vertex oracle, Euclidean projection, and samplers
 for down-closed polytopes ``{x : 0 <= x <= upper, A x <= b}``.
 
-The LP solver is a dense-tableau simplex with Bland's anti-cycling rule: box
-upper bounds are folded in as explicit rows, so every solve works on m + n
-constraints plus slacks.  Slow but deterministic and dependency-free, which is
-what the solvers and the vertex-enumeration cross-checks need.
+Everything runs on plain numpy.  The LP oracle is a bounded-variable primal
+simplex whose tableau holds only the m rows of ``A x + s = b``; the box bounds
+are handled as bound flips in the ratio test.  It is deterministic and
+dependency-free, which is what the solvers and the vertex-enumeration
+cross-checks need.  The hit-and-run sampler takes each chord from one ratio
+vector over all ``2n + m`` constraints.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .core import Array, BoxDomain, PolytopeDomain, as_point
 
 _EPS_COST = 1e-9     # reduced-cost threshold for entering variables
 _EPS_PIVOT = 1e-11   # smallest usable pivot element
+_EPS_STEP = 1e-10    # a simplex step this short counts as degenerate
 
 
 @dataclass
@@ -65,71 +68,82 @@ def active_constraints(P: PolytopeDomain, x, tol: float = 1e-9) -> list[int]:
     return sorted(out)
 
 
-def _pivot_loop_numpy(T, z, basis, max_pivots):
-    """Bland-rule pivoting until optimality.
-
-    Returns 0 on optimum, -1 when the pivot guard trips, -2 on an unbounded
-    column.  The jit kernel below performs identical arithmetic.
-    """
-    nrows = T.shape[0]
-    ncols = z.shape[0]
-    for _ in range(max_pivots):
-        improving = np.nonzero(z > _EPS_COST)[0]
-        if improving.size == 0:
-            return 0
-        j = int(improving[0])
-        col = T[:, j]
-        pos = col > _EPS_PIVOT
-        if not np.any(pos):
-            return -2
-        ratios = np.full(nrows, np.inf)
-        ratios[pos] = T[pos, -1] / col[pos]
-        rmin = ratios.min()
-        tied = np.nonzero(ratios <= rmin + 1e-10 * (1.0 + abs(rmin)))[0]
-        i = int(tied[np.argmin(basis[tied])])
-        T[i] /= T[i, j]
-        fac = T[:, j].copy()
-        fac[i] = 0.0
-        T -= np.outer(fac, T[i])
-        z -= z[j] * T[i, :ncols]
-        basis[i] = j
-    return -1
-
-
 def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
     """Return a vertex of P maximizing <c, x>.
 
-    Dense-tableau simplex; Bland's rule picks the lowest-index entering
-    variable and breaks ratio-test ties by the lowest basic-variable index,
-    which makes the output deterministic and prevents cycling on degenerate
-    vertices.
+    Bounded-variable primal simplex on the m rows of ``A x + s = b``, started
+    from the slack basis at the origin.  The box bounds ``0 <= x <= upper``
+    stay out of the tableau: a variable that reaches its upper bound is
+    complemented (``x_j -> upper_j - x_j``), either as a bound flip of the
+    entering variable or as a basic variable leaving at its upper bound, so
+    every nonbasic tableau variable sits at 0.  Pricing is Dantzig's rule
+    (largest reduced cost); after a degenerate step it switches to Bland's
+    rule (lowest improving index) until a step makes progress, which prevents
+    cycling.  Ratio-test ties go to the lowest basic-variable index.  The
+    result is a pure, deterministic function of (P, c).
     """
     c = as_point(c, P.dimension)
     n, m = P.dimension, P.num_rows
-    nrows = m + n
-    ncols = n + nrows
-    T = np.zeros((nrows, ncols + 1))
-    if m:
-        T[:m, :n] = P.A
-    T[m:, :n] = np.eye(n)
-    T[:, n:ncols] = np.eye(nrows)
-    T[:m, -1] = P.b
-    T[m:, -1] = P.upper
-    z = np.zeros(ncols)
+    ncols = n + m
+    T = np.empty((m, ncols + 1))
+    T[:, :n] = P.A
+    T[:, n:ncols] = np.eye(m)
+    T[:, -1] = P.b
+    z = np.zeros(ncols)   # reduced costs
     z[:n] = c
-    basis = np.arange(n, n + nrows)
-
-    max_pivots = 1000 + 50 * ncols
-    loop = _pivot_loop_jit if _HAVE_JIT else _pivot_loop_numpy
-    status = int(loop(T, z, basis, max_pivots))
-    if status == -1:
+    ub = np.concatenate([P.upper, np.full(m, np.inf)])
+    basis = np.arange(n, ncols)
+    flipped = np.zeros(ncols, dtype=bool)
+    bland = False
+    for _ in range(1000 + 50 * ncols):
+        if bland:
+            improving = np.flatnonzero(z > _EPS_COST)
+            if improving.size == 0:
+                break
+            j = int(improving[0])
+        else:
+            j = int(np.argmax(z))
+            if z[j] <= _EPS_COST:
+                break
+        col = T[:, j]
+        rhs = T[:, -1]
+        # a basic variable falls to 0 where col > 0, rises to its bound where col < 0
+        ratios = np.full(m, np.inf)
+        down = col > _EPS_PIVOT
+        ratios[down] = rhs[down] / col[down]
+        up = col < -_EPS_PIVOT
+        ratios[up] = (ub[basis[up]] - rhs[up]) / -col[up]
+        step = ratios.min(initial=np.inf)
+        if ub[j] <= step:   # x_j reaches its own bound first: flip, no pivot
+            if ub[j] == np.inf:
+                raise RuntimeError("unbounded LP; impossible on a box-bounded polytope")
+            step = ub[j]
+            rhs -= step * col
+            col *= -1.0
+            z[j] = -z[j]
+            flipped[j] = not flipped[j]
+        else:
+            tied = np.flatnonzero(ratios <= step + 1e-10 * (1.0 + abs(step)))
+            i = int(tied[np.argmin(basis[tied])])
+            if col[i] < 0:   # complement the leaver so that it leaves at 0
+                k = basis[i]
+                T[i] *= -1.0
+                T[i, k] = 1.0
+                T[i, -1] += ub[k]
+                flipped[k] = not flipped[k]
+            T[i] /= T[i, j]
+            fac = T[:, j].copy()
+            fac[i] = 0.0
+            T -= np.outer(fac, T[i])
+            z -= z[j] * T[i, :ncols]
+            basis[i] = j
+        bland = step <= _EPS_STEP
+    else:
         raise RuntimeError(f"simplex cycling guard exceeded; last basis {basis.tolist()}")
-    if status == -2:
-        raise RuntimeError("unbounded LP; impossible on a box-bounded polytope")
 
-    x = np.zeros(n)
-    structural = basis < n
-    x[basis[structural]] = T[structural, -1]
+    y = np.zeros(ncols)
+    y[basis] = T[:, -1]
+    x = np.where(flipped[:n], P.upper - y[:n], y[:n])
     np.clip(x, 0.0, P.upper, out=x)
     return LPSolution(point=x, objective=float(c @ x),
                       basis=active_constraints(P, x))
@@ -199,31 +213,26 @@ def project_polytope(P: PolytopeDomain, x, tol: float = 1e-9,
         f"residual {feasibility_residual(P, x_cur):.3e}")
 
 
-def _chord(x, d, s, w, upper):
-    """Feasible parameter interval of the line x + theta*d inside the polytope.
+def _pads(den):
+    """Masks of the ratio test as additive pads: ``pad_hi`` is 0 where a
+    constraint caps theta from above (den > 1e-13) and +inf elsewhere,
+    ``pad_lo`` is 0 where it caps theta from below (den < -1e-13) and -inf
+    elsewhere.  Works row-wise on a stack of denominators."""
+    return (np.where(den > 1e-13, 0.0, np.inf),
+            np.where(den < -1e-13, 0.0, -np.inf))
 
-    s = b - A x is the row slack, w = A d.  Returns (lo, hi), possibly empty.
+
+def _chord(num, den, pad_hi, pad_lo, ratio, padded):
+    """Feasible interval (lo, hi) of theta on the line x + theta*d, from the
+    constraints ``theta * den <= num``; possibly empty.
+
+    A pad turns every constraint outside its side into +-inf (or NaN, for
+    0/0 and -inf + inf, which fmin/fmax skip), so each bound is one reduction.
+    ``ratio`` and ``padded`` are work buffers, overwritten on each call.
     """
-    tiny = 1e-13
-    lo, hi = -np.inf, np.inf
-    mask = np.abs(d) > tiny
-    if mask.any():
-        dm = d[mask]
-        gap_up = (upper - x)[mask]
-        gap_lo = x[mask]
-        up = np.where(dm > 0, gap_up, -gap_lo) / dm
-        dn = np.where(dm > 0, -gap_lo, gap_up) / dm
-        hi = up.min()
-        lo = dn.max()
-    if w.size:
-        rmask = np.abs(w) > tiny
-        if rmask.any():
-            r = s[rmask] / w[rmask]
-            wm = w[rmask]
-            if (wm > 0).any():
-                hi = min(hi, r[wm > 0].min())
-            if (wm < 0).any():
-                lo = max(lo, r[wm < 0].max())
+    np.divide(num, den, out=ratio)
+    hi = np.fmin.reduce(np.add(ratio, pad_hi, out=padded))
+    lo = np.fmax.reduce(np.add(ratio, pad_lo, out=padded))
     return lo, hi
 
 
@@ -238,8 +247,15 @@ def _flip_inward(x, d, upper):
 
 
 def _naive_matvec(A, d):
-    """Row dots with fixed left-to-right summation; bit-identical to the jit
-    kernel's loop, unlike BLAS.  Only used on (rare) degenerate-chord retries."""
+    """Row dots with fixed left-to-right summation, used only on (rare)
+    degenerate-chord retries.
+
+    The chain is chaotic: a last-bit change in one retry's ``A d`` grows over
+    the following steps.  BLAS ``A @ d`` sums in another order; on
+    ``gen_monotone_nqp(100, 50, s)``, s = 0..4, k = 1000, it moved the samples
+    by up to 0.13 per coordinate and best-of-k values by up to 0.75%.  This
+    loop keeps a seed's samples identical to those of earlier releases.
+    """
     m, n = A.shape
     out = np.zeros(m)
     for r in range(m):
@@ -250,162 +266,20 @@ def _naive_matvec(A, d):
     return out
 
 
-def _chain_steps_numpy(A, b, upper, x, Ax, dirs, W, unif, step_offset, burn_in,
-                       thin, samples, emitted):
-    """Reference chain implementation; mirrored exactly by the jit kernel."""
-    for i in range(dirs.shape[0]):
-        d = dirs[i]
-        w = W[i]
-        lo, hi = _chord(x, d, b - Ax, w, upper)
-        if not hi - lo > 1e-12:
-            d = _flip_inward(x, d, upper)
-            w = _naive_matvec(A, d)
-            lo, hi = _chord(x, d, b - Ax, w, upper)
-        if hi - lo > 1e-12:
-            theta = lo + unif[i] * (hi - lo)
-            np.clip(x + theta * d, 0.0, upper, out=x)
-            Ax += theta * w
-        step = step_offset + i + 1
-        if step > burn_in and (step - burn_in) % thin == 0:
-            samples[emitted] = x
-            emitted += 1
-    return emitted
-
-try:  # jit-compiled chain; the numpy path above is the behavioral reference
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _chord_jit(x, d, Ax, b, upper, w):
-        n = x.shape[0]
-        m = w.shape[0]
-        lo, hi = -np.inf, np.inf
-        for c in range(n):
-            dc = d[c]
-            if dc > 1e-13:
-                t1 = (upper[c] - x[c]) / dc
-                t0 = -x[c] / dc
-            elif dc < -1e-13:
-                t1 = -x[c] / dc
-                t0 = (upper[c] - x[c]) / dc
-            else:
-                continue
-            if t1 < hi:
-                hi = t1
-            if t0 > lo:
-                lo = t0
-        for r in range(m):
-            wr = w[r]
-            if wr > 1e-13:
-                t1 = (b[r] - Ax[r]) / wr
-                if t1 < hi:
-                    hi = t1
-            elif wr < -1e-13:
-                t0 = (b[r] - Ax[r]) / wr
-                if t0 > lo:
-                    lo = t0
-        return lo, hi
-
-    @_njit(cache=True)
-    def _chain_steps_jit(A, b, upper, x, Ax, dirs, W, unif, step_offset, burn_in,
-                         thin, samples, emitted):
-        m, n = A.shape
-        w = np.zeros(m)
-        for i in range(dirs.shape[0]):
-            d = dirs[i].copy()
-            for r in range(m):
-                w[r] = W[i, r]
-            lo, hi = _chord_jit(x, d, Ax, b, upper, w)
-            if not hi - lo > 1e-12:
-                for c in range(n):
-                    if x[c] <= 1e-12:
-                        d[c] = abs(d[c])
-                    if x[c] >= upper[c] - 1e-12:
-                        d[c] = -abs(d[c])
-                for r in range(m):
-                    acc = 0.0
-                    for c in range(n):
-                        acc += A[r, c] * d[c]
-                    w[r] = acc
-                lo, hi = _chord_jit(x, d, Ax, b, upper, w)
-            if hi - lo > 1e-12:
-                theta = lo + unif[i] * (hi - lo)
-                for c in range(n):
-                    xc = x[c] + theta * d[c]
-                    if xc < 0.0:
-                        xc = 0.0
-                    elif xc > upper[c]:
-                        xc = upper[c]
-                    x[c] = xc
-                for r in range(m):
-                    Ax[r] += theta * w[r]
-            step = step_offset + i + 1
-            if step > burn_in and (step - burn_in) % thin == 0:
-                samples[emitted] = x
-                emitted += 1
-        return emitted
-
-    @_njit(cache=True)
-    def _pivot_loop_jit(T, z, basis, max_pivots):
-        nrows = T.shape[0]
-        ncols = z.shape[0]
-        for _ in range(max_pivots):
-            j = -1
-            for col in range(ncols):
-                if z[col] > _EPS_COST:
-                    j = col
-                    break
-            if j < 0:
-                return 0
-            rmin = np.inf
-            for r in range(nrows):
-                if T[r, j] > _EPS_PIVOT:
-                    ratio = T[r, ncols] / T[r, j]
-                    if ratio < rmin:
-                        rmin = ratio
-            if rmin == np.inf:
-                return -2
-            cutoff = rmin + 1e-10 * (1.0 + abs(rmin))
-            i = -1
-            best = np.int64(2 ** 62)
-            for r in range(nrows):
-                if T[r, j] > _EPS_PIVOT:
-                    ratio = T[r, ncols] / T[r, j]
-                    if ratio <= cutoff and basis[r] < best:
-                        best = basis[r]
-                        i = r
-            piv = T[i, j]
-            for cidx in range(ncols + 1):
-                T[i, cidx] /= piv
-            for r in range(nrows):
-                if r == i:
-                    continue
-                fac = T[r, j]
-                if fac != 0.0:
-                    for cidx in range(ncols + 1):
-                        T[r, cidx] -= fac * T[i, cidx]
-            zfac = z[j]
-            for cidx in range(ncols):
-                z[cidx] -= zfac * T[i, cidx]
-            basis[i] = j
-        return -1
-
-    _HAVE_JIT = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _HAVE_JIT = False
-
-
 def hit_and_run(P: PolytopeDomain, k: int, seed: int,
-                burn_in: int | None = None, thin: int | None = None,
-                use_jit: bool | None = None) -> Array:
+                burn_in: int | None = None, thin: int | None = None) -> Array:
     """k approximately-uniform samples from P, returned as rows.
 
     The chain starts at the origin (feasible since b >= 0), discards
     ``burn_in`` steps (default 50 n) and keeps one state every ``thin`` steps
-    (default n).  A degenerate chord is retried once with the direction
-    flipped inward on tight box coordinates; if still degenerate the chain
-    stays put for that step (a lazy move, so the uniform target is unchanged).
-    All randomness is pre-drawn, so the jit-accelerated and plain numpy paths
-    walk identical chains; deterministic for a fixed seed.
+    (default n).  Each step's chord comes from one ratio test over the
+    ``2n + m`` constraints: numerators ``[upper - x, b - A x, x]`` against
+    denominators ``[d, A d, -d]``; ``A x`` is carried along incrementally and
+    recomputed every 16384 steps against drift.  A degenerate chord is retried
+    once with the direction flipped inward on tight box coordinates; if still
+    degenerate the chain stays put for that step (a lazy move, so the uniform
+    target is unchanged).  All randomness is pre-drawn in blocks from two child
+    streams of ``seed``; deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("need k >= 1 samples")
@@ -416,29 +290,62 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int,
         thin = max(1, n)
     if thin < 1 or burn_in < 0:
         raise ValueError("need thin >= 1 and burn_in >= 0")
-    jit = _HAVE_JIT if use_jit is None else (use_jit and _HAVE_JIT)
-    stepper = _chain_steps_jit if jit else _chain_steps_numpy
     # separate child streams per purpose, so chains for different k share a
     # common prefix and best-of-k values grow monotonically in k
     rng_dirs = np.random.default_rng([seed, 0])
     rng_unif = np.random.default_rng([seed, 1])
-    x = np.zeros(n)
-    Ax = np.zeros(m)
+    A, upper = P.A, P.upper
+    z = np.zeros(n + m)   # the state [x, A x], updated in place
+    x, Ax = z[:n], z[n:]
+    zero = np.zeros(n)
+    top = np.concatenate([upper, P.b])
+    num = np.empty(2 * n + m)
+    ratio = np.empty(2 * n + m)
+    padded = np.empty(2 * n + m)
     samples = np.empty((k, n))
     total = burn_in + k * thin
     emitted = 0
     done = 0
     block = 16384
+    # denominators and pads are built for 256 steps at once: vectorised, yet
+    # small next to a whole block's (block x (2n + m)) floats, 33 MB at
+    # n = 100, m = 50
+    chunk = 256
     while done < total:
         nsteps = min(block, total - done)
         dirs = rng_dirs.standard_normal((nsteps, n))
         unif = rng_unif.random(nsteps)
-        W = dirs @ P.A.T   # row products for the whole block, shared by both paths
-        emitted = int(stepper(P.A, P.b, P.upper, x, Ax, dirs, W, unif,
-                              done, burn_in, thin, samples, emitted))
+        W = dirs @ A.T   # row products for the whole block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(nsteps):
+                j = i % chunk
+                if j == 0:
+                    dens = np.hstack([dirs[i:i + chunk], W[i:i + chunk],
+                                      -dirs[i:i + chunk]])
+                    pads_hi, pads_lo = _pads(dens)
+                den = dens[j]
+                np.subtract(top, z, out=num[:n + m])
+                num[n + m:] = x
+                lo, hi = _chord(num, den, pads_hi[j], pads_lo[j], ratio, padded)
+                if not hi - lo > 1e-12:
+                    d = _flip_inward(x, dirs[i], upper)
+                    den = np.concatenate([d, _naive_matvec(A, d), -d])
+                    lo, hi = _chord(num, den, *_pads(den), ratio, padded)
+                if hi - lo > 1e-12:
+                    z += (lo + unif[i] * (hi - lo)) * den[:n + m]
+                    # clip into the box; np.clip costs more per call than both
+                    np.maximum(x, zero, out=x)
+                    np.minimum(x, upper, out=x)
+                step = done + i + 1
+                if step > burn_in and (step - burn_in) % thin == 0:
+                    samples[emitted] = x
+                    emitted += 1
         done += nsteps
         if m:
-            Ax[:] = P.A @ x   # periodic resync against incremental drift
+            Ax[:] = A @ x   # periodic resync against incremental drift
+        # free this block's draws before the next are made, so that peak
+        # memory holds one block rather than two
+        del dirs, unif, W
     return samples
 
 

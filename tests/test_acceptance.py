@@ -29,15 +29,6 @@ def _verdict(num, name, failures, elapsed, detail=""):
     assert not failures, "; ".join(failures)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_jit_kernels():
-    # compile the jit accelerators outside any timed region
-    from subcont import hit_and_run
-    P = PolytopeDomain([[1.0, 1.0]], [1.0], [1.0, 1.0])
-    hit_and_run(P, 2, seed=0)
-    linear_maximize(P, [1.0, 0.5])
-
-
 def _mixed_sign_quadratic(rng, diag_negative):
     """4-dim quadratic with off-diagonal magnitudes in [0.2, 1] and signs
     drawn uniformly; the diagonal is negative or sign-randomized."""

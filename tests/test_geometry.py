@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcont import (PolytopeDomain, contains, enumerate_vertices,
                      feasibility_residual, hit_and_run, linear_maximize,
                      project_polytope, ratio_shrink)
-from subcont.geometry import _HAVE_JIT
 
 SIMPLEX = PolytopeDomain([[1.0, 1.0]], [1.0], [1.0, 1.0])
 
@@ -32,6 +33,17 @@ def test_feasibility_residual():
 
 
 # ---------------------------------------------------------------- LP oracle
+
+def _assert_optimal_vertex(P, c, sol):
+    """sol maximizes <c, x> over P, is feasible, and is a vertex (its active
+    constraints have rank n)."""
+    n = P.dimension
+    best = max(float(c @ v) for v in enumerate_vertices(P))
+    assert sol.objective == pytest.approx(best, abs=1e-8)
+    assert contains(P, sol.point, 1e-9)
+    normals = np.vstack([P.A, np.eye(n), np.eye(n)])
+    assert np.linalg.matrix_rank(normals[sol.basis]) == n
+
 
 def test_linear_maximize_examples():
     sol = linear_maximize(SIMPLEX, [2.0, 1.0])
@@ -74,10 +86,7 @@ def test_linear_maximize_matches_vertex_enumeration():
     for trial in range(60):
         P = _random_polytope(rng)
         c = rng.normal(size=P.dimension)
-        sol = linear_maximize(P, c)
-        best = max(float(c @ v) for v in enumerate_vertices(P))
-        assert sol.objective == pytest.approx(best, abs=1e-8)
-        assert contains(P, sol.point, 1e-9)
+        _assert_optimal_vertex(P, c, linear_maximize(P, c))
 
 
 def test_linear_maximize_returns_vertex():
@@ -91,6 +100,55 @@ def test_linear_maximize_returns_vertex():
             np.vstack([np.eye(n), np.eye(n)])
         active = normals[sol.basis]
         assert np.linalg.matrix_rank(active) == n
+
+
+@pytest.mark.parametrize("A, b, upper, c, optimum", [
+    # no rows: every entering variable moves straight to its upper bound
+    (np.zeros((0, 2)), [], [1.0, 2.0], [1.0, 1.0], [1.0, 2.0]),
+    # x0 flips to its bound, x1 enters at 0, then x0 backs off and x1
+    # leaves the basis at its upper bound
+    ([[2.0, 1.0]], [2.0], [1.0, 1.0], [3.0, 3.0], [0.5, 1.0]),
+    # the b = 0 row makes the first pivot degenerate, so the next entering
+    # variable is x0 (lowest index, Bland) rather than x2 (largest cost)
+    ([[0.0, 1.0, 0.0]], [0.0], [1.0, 2.0, 2.0], [1.0, 3.0, 3.0], [1.0, 0.0, 2.0]),
+])
+def test_linear_maximize_bound_flips_and_degenerate_pivots(A, b, upper, c, optimum):
+    P = PolytopeDomain(A, b, upper)
+    c = np.array(c)
+    sol = linear_maximize(P, c)
+    assert np.allclose(sol.point, optimum, atol=1e-12)
+    _assert_optimal_vertex(P, c, sol)
+
+
+# a coarse dyadic grid: exact ties and degenerate vertices are common, and
+# every vertex is a short rational, so enumerate_vertices' 1e-9 feasibility
+# tolerance cannot admit a near-feasible non-vertex (tiny coefficients can)
+_LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+_COSTS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def _degenerate_lp(draw):
+    """A down-closed polytope and a cost vector built for degeneracy: rows
+    with b = 0, duplicated rows, coordinates with upper = 0, no rows at all,
+    and costs with zeros and ties."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 4))
+    A = np.array(draw(st.lists(st.lists(_LEVELS, min_size=n, max_size=n),
+                               min_size=m, max_size=m))).reshape(m, n)
+    b = np.array(draw(st.lists(_LEVELS, min_size=m, max_size=m)))
+    if m >= 2 and draw(st.booleans()):
+        A[1], b[1] = A[0], b[0]
+    upper = np.array(draw(st.lists(_LEVELS, min_size=n, max_size=n)))
+    c = np.array(draw(st.lists(_COSTS, min_size=n, max_size=n)))
+    return PolytopeDomain(A, b, upper), c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_degenerate_lp())
+def test_linear_maximize_matches_enumeration_on_degenerate_polytopes(lp):
+    P, c = lp
+    _assert_optimal_vertex(P, c, linear_maximize(P, c))
 
 
 def test_linear_maximize_deterministic():
@@ -157,17 +215,16 @@ def test_hit_and_run_uniform_moments_on_simplex():
     assert all(contains(SIMPLEX, row, 1e-9) for row in s)
 
 
-@pytest.mark.skipif(not _HAVE_JIT, reason="jit accelerator unavailable")
-def test_hit_and_run_jit_matches_numpy_reference():
-    rng = np.random.default_rng(1)
-    for trial in range(3):
-        P = _random_polytope(rng)
-        fast = hit_and_run(P, 30, seed=trial, use_jit=True)
-        ref = hit_and_run(P, 30, seed=trial, use_jit=False)
-        assert np.array_equal(fast, ref)
-    inst_P = PolytopeDomain(rng.uniform(0, 1, (5, 8)), np.ones(5), np.ones(8))
-    assert np.array_equal(hit_and_run(inst_P, 40, seed=9, use_jit=True),
-                          hit_and_run(inst_P, 40, seed=9, use_jit=False))
+def test_hit_and_run_prefix_across_blocks():
+    # 5000 samples take 10100 steps, one block; 9000 take 18100, which cross
+    # the 16384-step block boundary and its A x resync.  Splitting the draws
+    # into blocks must not change the chain, and the samples after the
+    # resync must stay feasible.
+    P = PolytopeDomain([[1.0, 2.0]], [1.5], [1.0, 1.0])
+    short = hit_and_run(P, 5000, seed=7)
+    long_run = hit_and_run(P, 9000, seed=7)
+    assert short.tobytes() == long_run[:5000].tobytes()
+    assert all(contains(P, row, 1e-9) for row in long_run)
 
 
 def test_hit_and_run_rejects_bad_k():
