@@ -20,7 +20,7 @@ def as_point(x, dim: int | None = None) -> Array:
         p = p.reshape(1)
     if p.ndim != 1:
         raise ValueError(f"expected a 1-D point, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point contains non-finite entries")
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {p.shape[0]}")
@@ -103,7 +103,10 @@ class ObjectiveHandle:
     is present exactly when ``differentiable`` is set.  The structural flags
     are declared by constructors; the sampled certificates in
     :mod:`subcont.properties` are the way to actually verify them.
-    ``value_batch`` optionally evaluates a (k, n) array of row points at once.
+    ``value_batch`` evaluates a (k, n) array of row points at once.  Handles
+    from the :mod:`subcont.zoo` families always carry it (their ``value`` is
+    its one-row case); hand-built handles may omit it, and :func:`eval_batch`
+    then falls back to a loop over ``value``.
     """
 
     dimension: int

@@ -152,11 +152,14 @@ def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
 def enumerate_vertices(P: PolytopeDomain) -> list[Array]:
     """All vertices of P by brute-force enumeration of n-subsets of constraints.
 
-    Test oracle for linear_maximize; guarded to n <= 10 and m <= 10.
+    Test oracle for linear_maximize; guarded to n <= 10 and m <= 10.  A row
+    counts as satisfied when its violation is at most 1e-9 times the row norm,
+    so rows with tiny coefficients do not admit near-feasible non-vertices.
     """
     n, m = P.dimension, P.num_rows
     if n > 10 or m > 10:
         raise ValueError("enumerate_vertices guard: requires n <= 10 and m <= 10")
+    row_tol = 1e-9 * np.linalg.norm(P.A, axis=1)
     normals = np.vstack([P.A, np.eye(n), np.eye(n)]) if m else np.vstack([np.eye(n), np.eye(n)])
     offsets = np.concatenate([P.b, np.zeros(n), P.upper])
     vertices: list[Array] = []
@@ -169,7 +172,7 @@ def enumerate_vertices(P: PolytopeDomain) -> list[Array]:
             continue
         if not np.all(np.isfinite(v)) or np.max(np.abs(M @ v - r)) > 1e-8:
             continue
-        if not contains(P, v, 1e-9):
+        if np.any(v < -1e-9) or np.any(v > P.upper + 1e-9) or np.any(P.A @ v - P.b > row_tol):
             continue
         if not any(np.max(np.abs(v - w)) <= 1e-9 for w in vertices):
             vertices.append(v)

@@ -27,7 +27,7 @@ from .geometry import feasibility_residual
 from .properties import CHECKERS
 from .solvers import (CONCAVE_MODE, DGConfig, FWConfig, QUADRATIC_MODE,
                       REVENUE_MODE, double_greedy, frank_wolfe_variant)
-from .zoo import (BipartiteInfluenceInstance, RevenueInstance,
+from .zoo import (BipartiteInfluenceInstance, RevenueInstance, balanced_revenue,
                   gen_bipartite_influence, gen_monotone_nqp,
                   gen_nonmonotone_nqp, gen_revenue, named_instance)
 
@@ -198,17 +198,11 @@ def load_bipartite_tsv(path, alpha: float = 1.0, beta: float = 1.0,
     sa = np.zeros(n)
     for t, w in self_act.items():
         sa[t] = w
-    upper = np.full(n, float(u_scale))
-    g = float(gamma)
-    halvings = 0
-    while beta * (sa @ upper) - g * upper.sum() < -1e-9:
-        g /= 2.0
-        halvings += 1
-        if halvings > 200:
-            raise ValueError(f"{path}: cannot balance the revenue objective")
-    return RevenueInstance(W, sa, alpha=alpha, beta=beta, gamma=g, upper=upper,
-                           meta={"node_index": node_ids, "path": str(path),
-                                 "gamma_halvings": halvings})
+    try:
+        return balanced_revenue(W, sa, np.full(n, float(u_scale)), alpha, beta, gamma,
+                                meta={"node_index": node_ids, "path": str(path)})
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
@@ -369,7 +363,7 @@ def read_trace_csv(path) -> list[tuple[int, float, float, float]]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _manifest(cfg: ExperimentConfig, status: str, error: str | None = None) -> dict:

@@ -39,8 +39,7 @@ class FWConfig:
     a constant gamma in (0, 1], the budget K (gamma = 1/K), or an explicit
     per-iteration schedule.  alpha and delta describe the multiplicative and
     additive quality of an injected linear oracle (the built-in exact oracle
-    realizes alpha = 1, delta = 0); L is an optional curvature estimate used
-    only for reporting and bound checks.
+    realizes alpha = 1, delta = 0).
     """
 
     gamma: float | None = None
@@ -48,7 +47,6 @@ class FWConfig:
     schedule: Sequence[float] | None = None
     alpha: float = 1.0
     delta: float = 0.0
-    L: float | None = None
 
     def __post_init__(self):
         if self.schedule is None:
@@ -66,8 +64,6 @@ class FWConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.L is not None and self.L <= 0:
-            raise ValueError("L must be positive")
 
 
 class SolverAbort(RuntimeError):

@@ -1,10 +1,12 @@
 """Objective families with submodular structure, plus seeded random generators.
 
-Each instance is immutable after construction and exposes ``value`` (and
-``gradient`` where the function is smooth) together with a ``handle()`` giving
-the uniform :class:`~subcont.core.ObjectiveHandle` contract.  Structural flags
-(monotone / submodular / diminishing-returns) are declared here from the
-algebra of each family; the sampled certificates in
+Each family writes its objective once, as ``value_batch(X)`` over the rows of
+a (k, n) array, domain check included; the shared ``value(x)`` is its one-row
+case.  Instances are immutable after construction and also expose
+``gradient`` where the function is smooth, together with a ``handle()``
+giving the uniform :class:`~subcont.core.ObjectiveHandle` contract.
+Structural flags (monotone / submodular / diminishing-returns) are declared
+here from the algebra of each family; the sampled certificates in
 :mod:`subcont.properties` are what tests actually trust.
 """
 from __future__ import annotations
@@ -20,8 +22,30 @@ def _offdiag(H: Array) -> Array:
     return H[~np.eye(H.shape[0], dtype=bool)]
 
 
+class _Family:
+    """Evaluation shared by every family: ``value`` is the one-row case of the
+    family's ``value_batch``.  A family whose domain is the nonnegative
+    orthant sets ``_negative`` to the message a negative coordinate raises."""
+
+    _negative: str | None = None
+
+    def value(self, x) -> float:
+        return float(self.value_batch(as_point(x, self.dimension)[None, :])[0])
+
+    def _rows(self, X) -> Array:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.dimension:
+            raise ValueError(f"expected rows of dimension {self.dimension}, got shape {X.shape}")
+        if self._negative is not None and (X < 0).any():
+            raise ValueError(self._negative)
+        return X
+
+    def _point(self, x) -> Array:
+        return self._rows(as_point(x, self.dimension))[0]
+
+
 @dataclass
-class QuadraticInstance:
+class QuadraticInstance(_Family):
     """f(x) = 0.5 x'Hx + h'x + c with symmetric H.
 
     Submodular iff every off-diagonal entry of H is <= 0; additionally
@@ -56,16 +80,12 @@ class QuadraticInstance:
     def is_dr(self) -> bool:
         return bool(np.all(self.H <= 0))
 
-    def value(self, x) -> float:
-        x = as_point(x, self.dimension)
-        return float(0.5 * x @ (self.H @ x) + self.h @ x + self.c)
-
     def gradient(self, x) -> Array:
         x = as_point(x, self.dimension)
         return self.H @ x + self.h
 
     def value_batch(self, X: Array) -> Array:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._rows(X)
         return 0.5 * np.einsum("ij,ij->i", X @ self.H, X) + X @ self.h + self.c
 
     def monotone_on(self, box: BoxDomain) -> bool:
@@ -156,7 +176,7 @@ def gen_nonmonotone_nqp(n: int, seed: int, density: float = 1.0,
 
 
 @dataclass
-class BipartiteInfluenceInstance:
+class BipartiteInfluenceInstance(_Family):
     """Budget allocation on a bipartite channel/customer graph.
 
     An assignment x over channels reaches customer t with probability
@@ -168,6 +188,8 @@ class BipartiteInfluenceInstance:
     n_customers: int
     probs: dict[tuple[int, int], float]
     meta: dict = field(default_factory=dict)
+
+    _negative = "assignments must be nonnegative"
 
     def __post_init__(self):
         if not self.probs:
@@ -186,21 +208,13 @@ class BipartiteInfluenceInstance:
     def dimension(self) -> int:
         return self.n_channels
 
-    def value(self, x) -> float:
-        x = as_point(x, self.n_channels)
-        if np.any(x < 0):
-            raise ValueError("assignments must be nonnegative")
-        return float(self.n_customers - np.exp(x @ self._L).sum())
-
     def gradient(self, x) -> Array:
-        x = as_point(x, self.n_channels)
-        if np.any(x < 0):
-            raise ValueError("assignments must be nonnegative")
+        x = self._point(x)
         survival = np.exp(x @ self._L)
         return -self._L @ survival
 
     def value_batch(self, X: Array) -> Array:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._rows(X)
         return self.n_customers - np.exp(X @ self._L).sum(axis=1)
 
     def handle(self) -> ObjectiveHandle:
@@ -227,7 +241,7 @@ def gen_bipartite_influence(n_channels: int, n_customers: int, n_edges: int,
 
 
 @dataclass
-class RevenueInstance:
+class RevenueInstance(_Family):
     """Revenue from free-product assignments on a weighted social graph.
 
     Users with zero assignment contribute alpha * sqrt(sum of incoming
@@ -277,32 +291,45 @@ class RevenueInstance:
     def box(self) -> BoxDomain:
         return BoxDomain(np.zeros(self.dimension), self.upper.copy())
 
-    def value(self, x) -> float:
-        x = as_point(x, self.dimension)
-        if np.any(x < -1e-9) or np.any(x > self.upper + 1e-9):
+    def value_batch(self, X: Array) -> Array:
+        X = self._rows(X)
+        if (X < -1e-9).any() or (X > self.upper + 1e-9).any():
             raise ValueError("point outside the assignment box")
-        nz = x != 0
-        inflow = self.weights[:, nz] @ x[nz] if nz.any() else np.zeros(self.dimension)
-        val = self.alpha * np.sqrt(inflow[~nz]).sum()
-        val += self.beta * float(self.self_activation[nz] @ x[nz])
-        val -= self.gamma * float(x[nz].sum())
-        return float(val)
+        # W is symmetric and a zero coordinate adds nothing to a product, so
+        # (X @ W)[:, t] is the inflow of user t and the linear part needs no
+        # mask; only the sqrt term is restricted to the unassigned users.
+        inflow = np.where(X == 0, X @ self.weights, 0.0)
+        return (self.alpha * np.sqrt(inflow).sum(axis=1)
+                + self.beta * (X @ self.self_activation) - self.gamma * X.sum(axis=1))
 
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(
-            dimension=self.dimension, value=self.value, monotone=False,
-            submodular=True, dr_submodular=False, differentiable=False,
-            name="revenue")
+            dimension=self.dimension, value=self.value, value_batch=self.value_batch,
+            monotone=False, submodular=True, dr_submodular=False,
+            differentiable=False, name="revenue")
+
+
+def balanced_revenue(weights: Array, self_activation: Array, upper: Array,
+                     alpha: float, beta: float, gamma: float, meta: dict) -> RevenueInstance:
+    """RevenueInstance with gamma halved (the count lands in
+    ``meta["gamma_halvings"]``) until beta <sa, upper> - gamma sum(upper), a
+    lower bound on f(0) + f(upper), is nonnegative, as double greedy requires."""
+    g = float(gamma)
+    halvings = 0
+    while beta * (self_activation @ upper) - g * upper.sum() < -1e-9:
+        g /= 2.0
+        halvings += 1
+        if halvings > 200:
+            raise ValueError("cannot balance the revenue objective")
+    return RevenueInstance(weights, self_activation, alpha=alpha, beta=beta, gamma=g,
+                           upper=upper, meta={**meta, "gamma_halvings": halvings})
 
 
 def gen_revenue(n_nodes: int, n_edges: int, seed: int, alpha: float = 1.0,
                 beta: float = 1.0, gamma: float = 1.0,
                 u_scale: float = 1.0) -> RevenueInstance:
-    """Random revenue instance; edge and self-activation weights are U(0, 1).
-
-    gamma is halved (and the halving recorded in meta) until
-    f(0) + f(upper) >= 0, which the coordinate double-greedy solver requires.
-    """
+    """Random revenue instance; edge and self-activation weights are U(0, 1),
+    balanced by :func:`balanced_revenue`."""
     rng = np.random.default_rng(seed)
     W = np.zeros((n_nodes, n_nodes))
     pairs = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
@@ -312,23 +339,12 @@ def gen_revenue(n_nodes: int, n_edges: int, seed: int, alpha: float = 1.0,
             i, j = pairs[int(idx)]
             W[i, j] = W[j, i] = rng.uniform(0.0, 1.0)
     sa = rng.uniform(0.0, 1.0, size=n_nodes)
-    upper = np.full(n_nodes, float(u_scale))
-    # f(0) = 0 and f(upper) = beta <sa, upper> - gamma sum(upper), so halve
-    # gamma until their sum is nonnegative.
-    g = float(gamma)
-    halvings = 0
-    while beta * (sa @ upper) - g * upper.sum() < -1e-9:
-        g /= 2.0
-        halvings += 1
-        if halvings > 200:
-            raise RuntimeError("could not balance the revenue instance")
-    return RevenueInstance(W, sa, alpha=alpha, beta=beta, gamma=g, upper=upper,
-                           meta={"generator": "revenue", "seed": seed,
-                                 "gamma_halvings": halvings})
+    return balanced_revenue(W, sa, np.full(n_nodes, float(u_scale)), alpha, beta, gamma,
+                            meta={"generator": "revenue", "seed": seed})
 
 
 @dataclass
-class SensorInstance:
+class SensorInstance(_Family):
     """Expected saved detection time for sensors with continuous energy levels.
 
     A sensor at location e with energy x_e detects an event independently with
@@ -342,6 +358,8 @@ class SensorInstance:
     t_inf: float | None = None
     meta: dict = field(default_factory=dict)
 
+    _negative = "energy levels must be nonnegative"
+
     def __post_init__(self):
         self.times = np.atleast_2d(np.asarray(self.times, dtype=float))
         if np.any(self.times < 0) or not np.all(np.isfinite(self.times)):
@@ -353,9 +371,11 @@ class SensorInstance:
         if self.t_inf < tmax:
             raise ValueError("t_inf must dominate every detection time")
         self._logq = np.log1p(-self.p)
-        # per event: stable ascending order of detection times
+        # per event: stable ascending order of detection times, and the saved times in it
         self._orders = [np.argsort(self.times[:, v], kind="stable")
                         for v in range(self.times.shape[1])]
+        self._saved = [self.t_inf - self.times[order, v]
+                       for v, order in enumerate(self._orders)]
 
     @property
     def dimension(self) -> int:
@@ -368,27 +388,21 @@ class SensorInstance:
     def _detect_probs(self, x):
         return -np.expm1(x * self._logq)   # 1 - (1-p)^x
 
-    def value(self, x) -> float:
-        x = as_point(x, self.dimension)
-        if np.any(x < 0):
-            raise ValueError("energy levels must be nonnegative")
-        q = self._detect_probs(x)
-        total = 0.0
-        for v, order in enumerate(self._orders):
-            saved = self.t_inf - self.times[order, v]
-            qs = q[order]
-            prefix = np.concatenate(([1.0], np.cumprod(1.0 - qs)[:-1]))
-            total += float((saved * qs * prefix).sum())
+    def value_batch(self, X: Array) -> Array:
+        Q = self._detect_probs(self._rows(X))
+        total = np.zeros(Q.shape[0])
+        for order, saved in zip(self._orders, self._saved):
+            qs = Q[:, order]
+            # probability that no earlier detector in this order fired
+            prefix = np.ones_like(qs)
+            np.cumprod(1.0 - qs[:, :-1], axis=1, out=prefix[:, 1:])
+            total += (saved * qs * prefix).sum(axis=1)
         return total / self.n_events
 
     def gradient(self, x) -> Array:
-        x = as_point(x, self.dimension)
-        if np.any(x < 0):
-            raise ValueError("energy levels must be nonnegative")
-        q = self._detect_probs(x)
+        q = self._detect_probs(self._point(x))
         g = np.zeros(self.dimension)
-        for v, order in enumerate(self._orders):
-            saved = self.t_inf - self.times[order, v]
+        for order, saved in zip(self._orders, self._saved):
             qs = q[order]
             surv = 1.0 - qs                      # (1-p)^{x_e}
             prefix = np.concatenate(([1.0], np.cumprod(surv)[:-1]))
@@ -402,8 +416,8 @@ class SensorInstance:
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(
             dimension=self.dimension, value=self.value, gradient=self.gradient,
-            monotone=True, submodular=True, dr_submodular=True,
-            differentiable=True, name="sensor")
+            value_batch=self.value_batch, monotone=True, submodular=True,
+            dr_submodular=True, differentiable=True, name="sensor")
 
 
 def gen_sensor(n_locations: int, n_events: int, seed: int, p: float = 0.5,
@@ -415,7 +429,7 @@ def gen_sensor(n_locations: int, n_events: int, seed: int, p: float = 0.5,
 
 
 @dataclass
-class SummarizationInstance:
+class SummarizationInstance(_Family):
     """Scored data summarization balancing coverage against redundancy.
 
     value(x) = sum_ij sqrt(x_j) s_ij - sum_ij x_i x_j s_ij for a nonnegative
@@ -426,6 +440,7 @@ class SummarizationInstance:
     similarity: Array
     meta: dict = field(default_factory=dict)
 
+    _negative = "scores must be nonnegative"
     _phi0_slope = 1e4  # one-sided difference quotient of sqrt at 0, step 1e-8
 
     def __post_init__(self):
@@ -443,21 +458,13 @@ class SummarizationInstance:
     def dimension(self) -> int:
         return self.similarity.shape[0]
 
-    def value(self, x) -> float:
-        x = as_point(x, self.dimension)
-        if np.any(x < 0):
-            raise ValueError("scores must be nonnegative")
-        return float(np.sqrt(x) @ self._rowsum - x @ (self.similarity @ x))
-
     def gradient(self, x) -> Array:
-        x = as_point(x, self.dimension)
-        if np.any(x < 0):
-            raise ValueError("scores must be nonnegative")
+        x = self._point(x)
         dphi = np.where(x > 0, 0.5 / np.sqrt(np.where(x > 0, x, 1.0)), self._phi0_slope)
         return dphi * self._rowsum - 2.0 * (self.similarity @ x)
 
     def value_batch(self, X: Array) -> Array:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._rows(X)
         return np.sqrt(X) @ self._rowsum - np.einsum("ij,ij->i", X @ self.similarity, X)
 
     def handle(self) -> ObjectiveHandle:
@@ -475,7 +482,7 @@ def gen_summarization(n: int, seed: int) -> SummarizationInstance:
 
 
 @dataclass
-class FacilityInstance:
+class FacilityInstance(_Family):
     """Continuous facility location: each customer takes the best facility.
 
     value(x) = sum_t max_s w_st (1 - exp(-x_s)).  The response curve is
@@ -486,6 +493,8 @@ class FacilityInstance:
     weights: Array   # (n_facilities, n_customers), >= 0
     meta: dict = field(default_factory=dict)
 
+    _negative = "facility scales must be nonnegative"
+
     def __post_init__(self):
         self.weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
         if np.any(self.weights < 0):
@@ -495,16 +504,9 @@ class FacilityInstance:
     def dimension(self) -> int:
         return self.weights.shape[0]
 
-    def value(self, x) -> float:
-        x = as_point(x, self.dimension)
-        if np.any(x < 0):
-            raise ValueError("facility scales must be nonnegative")
-        response = -np.expm1(-x)   # 1 - exp(-x)
-        return float(np.max(self.weights * response[:, None], axis=0).sum())
-
     def value_batch(self, X: Array) -> Array:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        response = -np.expm1(-X)
+        X = self._rows(X)
+        response = -np.expm1(-X)   # 1 - exp(-x)
         return np.max(response[:, :, None] * self.weights[None, :, :], axis=1).sum(axis=1)
 
     def handle(self) -> ObjectiveHandle:

@@ -75,6 +75,15 @@ def test_enumerate_vertices_examples():
     assert len(verts) == 1 and np.array_equal(verts[0], [0.0, 0.0])
 
 
+def test_enumerate_vertices_scales_row_tolerance_by_row_norm():
+    # the feasible set is {0}; (0, 1e-5) violates row 2 by only 1e-10, which
+    # an absolute 1e-9 tolerance would accept as a vertex
+    tiny = PolytopeDomain([[0.0, 0.0], [0.0, 1e-5]], [0.0, 0.0], [0.0, 1e-5])
+    verts = enumerate_vertices(tiny)
+    assert len(verts) == 1 and np.array_equal(verts[0], [0.0, 0.0])
+    assert linear_maximize(tiny, [1.0, 1.0]).objective == 0.0
+
+
 def test_enumerate_vertices_guard():
     big = PolytopeDomain(np.zeros((0, 11)), np.zeros(0), np.ones(11))
     with pytest.raises(ValueError):

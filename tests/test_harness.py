@@ -7,7 +7,7 @@ import pytest
 from subcont import (BoxDomain, ExperimentConfig, PolytopeDomain, QuadraticInstance,
                      grid_brute_force, load_bipartite_tsv, read_trace_csv,
                      run_experiment)
-from subcont.harness import TRACE_HEADER
+from subcont.harness import TRACE_HEADER, _write_json
 from subcont.zoo import BipartiteInfluenceInstance, RevenueInstance
 
 
@@ -63,6 +63,16 @@ def test_load_tsv_malformed_line_numbered(tmp_path):
     p2 = _write(tmp_path, "# kind=influence\na\tb\tnotafloat\n", "nf.tsv")
     with pytest.raises(ValueError, match=":2"):
         load_bipartite_tsv(p2)
+
+
+def test_load_revenue_tsv_balances_gamma_with_a_located_error(tmp_path):
+    p = _write(tmp_path, "# kind=revenue\ns\tt\t1.0\ns\ts\t0.5\n")
+    inst = load_bipartite_tsv(p, gamma=4.0)
+    assert inst.meta["gamma_halvings"] == 4 and inst.gamma == 0.25
+    # no self-activation: gamma cannot shrink fast enough against a huge box
+    p2 = _write(tmp_path, "# kind=revenue\ns\tt\t1.0\n", "unbalanced.tsv")
+    with pytest.raises(ValueError, match=r"unbalanced\.tsv: cannot balance"):
+        load_bipartite_tsv(p2, u_scale=1e70)
 
 
 def test_load_tsv_missing_header(tmp_path):
@@ -184,6 +194,15 @@ def test_failed_run_marks_manifest_and_keeps_outputs(tmp_path, monkeypatch):
     assert manifest["status"] == "failed"
     assert "synthetic failure" in manifest["error"]
     assert list((out / "traces").glob("*.csv"))   # partial outputs retained
+
+
+def test_write_json_rejects_nan(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"final_value": float("nan")})
+    assert not path.exists()
+    _write_json(path, {"final_value": 1.5})
+    assert json.loads(path.read_text()) == {"final_value": 1.5}
 
 
 def test_manifest_lands_before_any_result_file(tmp_path, monkeypatch):

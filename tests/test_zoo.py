@@ -25,14 +25,6 @@ def test_quadratic_examples():
     assert np.allclose(diag.gradient([1, 1]), [-2, -2])
 
 
-def test_quadratic_batch_matches_scalar():
-    rng = np.random.default_rng(0)
-    M = rng.normal(size=(3, 3))
-    inst = QuadraticInstance((M + M.T) / 2, rng.normal(size=3), 1.3)
-    X = rng.uniform(0, 1, size=(40, 3))
-    assert np.allclose(inst.value_batch(X), [inst.value(row) for row in X])
-
-
 def test_quadratic_submodular_flag_tracks_offdiagonal_sign():
     assert QuadraticInstance([[1.0, -0.5], [-0.5, -3.0]], [0, 0]).is_submodular
     assert not QuadraticInstance([[1.0, 0.5], [0.5, -3.0]], [0, 0]).is_submodular
@@ -231,24 +223,106 @@ def test_facility_examples():
     assert two.value([10.0, 10.0]) == pytest.approx(2.0 * (1 - np.exp(-10.0)))
 
 
-def test_facility_batch_matches_scalar():
-    inst = gen_facility(3, 5, seed=0)
-    rng = np.random.default_rng(1)
-    X = rng.uniform(0, 2, size=(20, 3))
-    assert np.allclose(inst.value_batch(X), [inst.value(row) for row in X])
-
-
 def test_nonnegativity_preconditions():
     neg = np.array([-0.1, 0.5])
-    for inst in (gen_facility(2, 3, seed=0), gen_summarization(2, seed=0),
-                 gen_sensor(2, 2, seed=0)):
+    rows = np.array([[0.2, 0.5], neg])
+    for inst in (gen_bipartite_influence(2, 3, 4, seed=0), gen_facility(2, 3, seed=0),
+                 gen_summarization(2, seed=0), gen_sensor(2, 2, seed=0)):
         with pytest.raises(ValueError):
             inst.value(neg)
+        with pytest.raises(ValueError):
+            inst.value_batch(rows)
     with pytest.raises(ValueError):
         gen_sensor(2, 2, seed=0).gradient(neg)
+    revenue = gen_revenue(2, 1, seed=0)
+    for bad in ([0.5, -0.1], [0.5, 1.1]):
+        with pytest.raises(ValueError):
+            revenue.value_batch(np.array([[0.2, 0.5], bad]))
 
 
 # --------------------------------------------------- cross-family contracts
+
+# Reference formulas, one point at a time, written independently of zoo.py.
+
+def _ref_quadratic(inst, x):
+    return 0.5 * x @ inst.H @ x + inst.h @ x + inst.c
+
+
+def _ref_influence(inst, x):
+    survive = np.ones(inst.n_customers)
+    for (s, t), p in inst.probs.items():
+        survive[t] *= (1.0 - p) ** x[s]
+    return float(np.sum(1.0 - survive))
+
+
+def _ref_revenue(inst, x):
+    nz = x != 0
+    inflow = inst.weights[:, nz] @ x[nz] if nz.any() else np.zeros(inst.dimension)
+    val = inst.alpha * np.sqrt(inflow[~nz]).sum()
+    val += inst.beta * float(inst.self_activation[nz] @ x[nz])
+    val -= inst.gamma * float(x[nz].sum())
+    return float(val)
+
+
+def _ref_sensor(inst, x):
+    q = 1.0 - (1.0 - inst.p) ** x
+    total = 0.0
+    for v in range(inst.n_events):
+        order = np.argsort(inst.times[:, v], kind="stable")
+        saved = inst.t_inf - inst.times[order, v]
+        qs = q[order]
+        prefix = np.concatenate(([1.0], np.cumprod(1.0 - qs)[:-1]))
+        total += float((saved * qs * prefix).sum())
+    return total / inst.n_events
+
+
+def _ref_summarization(inst, x):
+    S = inst.similarity
+    n = S.shape[0]
+    return sum(np.sqrt(x[j]) * S[i, j] - x[i] * x[j] * S[i, j]
+               for i in range(n) for j in range(n))
+
+
+def _ref_facility(inst, x):
+    W = inst.weights
+    return sum(max(W[s, t] * (1.0 - np.exp(-x[s])) for s in range(W.shape[0]))
+               for t in range(W.shape[1]))
+
+
+def _tied_sensor():
+    # integer detection times in {0, 1, 2}: many ties, broken by location index
+    rng = np.random.default_rng(8)
+    return SensorInstance(times=rng.integers(0, 3, size=(5, 4)).astype(float), p=0.3,
+                          t_inf=3.0)
+
+
+BATCH_FAMILIES = {
+    "quadratic": (lambda: gen_nonmonotone_nqp(5, seed=3)[0], _ref_quadratic),
+    "influence": (lambda: gen_bipartite_influence(5, 7, 15, seed=3), _ref_influence),
+    "revenue": (lambda: gen_revenue(5, 8, seed=3, alpha=2.0), _ref_revenue),
+    "sensor": (_tied_sensor, _ref_sensor),
+    "summarization": (lambda: gen_summarization(5, seed=3), _ref_summarization),
+    "facility": (lambda: gen_facility(5, 6, seed=3), _ref_facility),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
+def test_value_batch_matches_reference_formula(family):
+    make, reference = BATCH_FAMILIES[family]
+    inst = make()
+    rng = np.random.default_rng(4)
+    # about 30% zeroed coordinates, so the revenue masks see mixed supports
+    X = rng.uniform(0, 1, size=(60, 5)) * (rng.random((60, 5)) > 0.3)
+    X[0] = 0.0
+    X[1] = 1.0
+    want = np.array([reference(inst, x) for x in X])
+    got = inst.value_batch(X)
+    assert got.shape == (60,)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert [inst.value(x) for x in X[:5]] == [float(inst.value_batch(x[None, :])[0])
+                                             for x in X[:5]]
+    assert inst.handle().value_batch == inst.value_batch
+
 
 SMOOTH_FAMILIES = {
     "quadratic": lambda: gen_nonmonotone_nqp(4, seed=11)[0].handle(
