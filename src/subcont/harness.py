@@ -13,6 +13,7 @@ CSV header is exactly ``iteration,t,objective,feasibility_residual``.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -210,6 +211,12 @@ def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
     """Exhaustive scan of a uniform grid over the domain's box, restricted to
     feasible points for polytopes.  The returned value never exceeds the true
     maximum, so it is safe on the lower side of approximation-bound checks.
+
+    Points are visited in row-major order (the last coordinate varies
+    fastest), and the earliest maximiser in that order wins ties.  ``chunk``
+    bounds the rows per objective evaluation: the grid of the trailing axes
+    that fits in ``chunk`` rows is laid out once, and each combination of the
+    remaining leading coordinates is written into it and evaluated.
     """
     if isinstance(domain, BoxDomain):
         lo, hi = domain.lower, domain.upper
@@ -222,18 +229,25 @@ def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
     n = lo.shape[0]
     if points_per_dim < 1:
         raise ValueError("points_per_dim must be positive")
-    total = points_per_dim ** n
-    if n > 6 or total > 1e8:
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    if n > 6 or points_per_dim ** n > 1e8:
         raise ValueError("grid oracle guard: needs n <= 6 and points_per_dim^n <= 1e8")
     axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(n)]
-    strides = points_per_dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    lead = 0
+    while points_per_dim ** (n - lead) > chunk:
+        lead += 1
+    block = np.empty((points_per_dim,) * (n - lead) + (n,))
+    for i in range(lead, n):
+        shape = [1] * (n - lead)
+        shape[i - lead] = points_per_dim
+        block[..., i] = axes[i].reshape(shape)
+    block = block.reshape(-1, n)
     best_val = -np.inf
     best_x = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        X = np.empty((idx.shape[0], n))
-        for i in range(n):
-            X[:, i] = axes[i][(idx // strides[i]) % points_per_dim]
+    for head in itertools.product(*axes[:lead]):
+        block[:, :lead] = head
+        X = block
         if P is not None and P.num_rows:
             mask = np.all(X @ P.A.T <= P.b + 1e-12, axis=1)
             if not mask.any():

@@ -39,7 +39,13 @@ class PropertyReport:
                 "tol": self.tol}
 
 
-def _report(violations: Array, witnesses, trials: int, tol: float) -> PropertyReport:
+def _report(checker: str, violations: Array, witnesses, trials: int,
+            tol: float) -> PropertyReport:
+    bad = ~np.isfinite(violations)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{checker}: non-finite violation {violations[i]} at trial {i}, "
+                         f"witness {witnesses(i)}")
     worst_idx = int(np.argmax(violations))
     worst = float(violations[worst_idx])
     if worst > tol:
@@ -58,7 +64,7 @@ def check_submodular(f: ObjectiveHandle, domain: BoxDomain, pairs: int = 200,
     J = np.maximum(X, Y)
     M = np.minimum(X, Y)
     viol = (eval_batch(f, J) + eval_batch(f, M)) - (eval_batch(f, X) + eval_batch(f, Y))
-    return _report(viol, lambda i: (X[i], Y[i]), pairs, tol)
+    return _report("check_submodular", viol, lambda i: (X[i], Y[i]), pairs, tol)
 
 
 def _ordered_pair(rng, domain, trials):
@@ -87,7 +93,8 @@ def check_weak_dr(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
     Bk = B.copy()
     Bk[rows, idx] += k
     viol = (eval_batch(f, Bk) - eval_batch(f, B)) - (eval_batch(f, Ak) - eval_batch(f, A))
-    return _report(viol, lambda i: (A[i], B[i], int(idx[i]), float(k[i])), trials, tol)
+    return _report("check_weak_dr", viol,
+                   lambda i: (A[i], B[i], int(idx[i]), float(k[i])), trials, tol)
 
 
 def check_dr(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
@@ -106,7 +113,8 @@ def check_dr(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
     Bk = B.copy()
     Bk[rows, idx] += k
     viol = (eval_batch(f, Bk) - eval_batch(f, B)) - (eval_batch(f, Ak) - eval_batch(f, A))
-    return _report(viol, lambda i: (A[i], B[i], int(idx[i]), float(k[i])), trials, tol)
+    return _report("check_dr", viol,
+                   lambda i: (A[i], B[i], int(idx[i]), float(k[i])), trials, tol)
 
 
 def check_coordinatewise_concave(f: ObjectiveHandle, domain: BoxDomain,
@@ -131,8 +139,8 @@ def check_coordinatewise_concave(f: ObjectiveHandle, domain: BoxDomain,
     Xkl = X.copy()
     Xkl[rows, idx] += span
     viol = (eval_batch(f, Xkl) - eval_batch(f, Xl)) - (eval_batch(f, Xk) - eval_batch(f, X))
-    return _report(viol, lambda i: (X[i], int(idx[i]), float(k[i]), float(l[i])),
-                   trials, tol)
+    return _report("check_coordinatewise_concave", viol,
+                   lambda i: (X[i], int(idx[i]), float(k[i]), float(l[i])), trials, tol)
 
 
 def check_monotone(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
@@ -143,7 +151,7 @@ def check_monotone(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
     rng = np.random.default_rng(seed)
     A, B = _ordered_pair(rng, domain, trials)
     viol = eval_batch(f, A) - eval_batch(f, B)
-    return _report(viol, lambda i: (A[i], B[i]), trials, tol)
+    return _report("check_monotone", viol, lambda i: (A[i], B[i]), trials, tol)
 
 
 def check_directional_concave(f: ObjectiveHandle, x, v, gridpoints: int = 21,
@@ -159,20 +167,11 @@ def check_directional_concave(f: ObjectiveHandle, x, v, gridpoints: int = 21,
         raise ValueError("need at least 3 grid points")
     xi = np.linspace(0.0, 1.0, gridpoints)
     g = eval_batch(f, x[None, :] + xi[:, None] * v[None, :])
-    worst = -np.inf
-    witness = None
-    trials = 0
-    for i in range(gridpoints):
-        for j in range(i + 2, gridpoints, 2):
-            mid = (i + j) // 2
-            viol = 0.5 * (g[i] + g[j]) - g[mid]
-            trials += 1
-            if viol > worst:
-                worst = viol
-                witness = (x + xi[i] * v, x + xi[j] * v)
-    if worst > tol:
-        return PropertyReport("fail", trials, float(worst), witness, tol)
-    return PropertyReport("pass", trials, float(worst), None, tol)
+    I, J = np.array([(i, j) for i in range(gridpoints)
+                     for j in range(i + 2, gridpoints, 2)]).T
+    viol = 0.5 * (g[I] + g[J]) - g[(I + J) // 2]
+    return _report("check_directional_concave", viol,
+                   lambda t: (x + xi[I[t]] * v, x + xi[J[t]] * v), len(I), tol)
 
 
 def hessian_estimate(f: ObjectiveHandle, x, h: float = 1e-4) -> Array:

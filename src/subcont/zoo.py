@@ -293,8 +293,11 @@ class RevenueInstance(_Family):
 
     def value_batch(self, X: Array) -> Array:
         X = self._rows(X)
-        if (X < -1e-9).any() or (X > self.upper + 1e-9).any():
+        low = X.min(initial=0.0)
+        if low < -1e-9 or (X > self.upper + 1e-9).any():
             raise ValueError("point outside the assignment box")
+        if low < 0:   # the tolerated band [-1e-9, 0) counts as unassigned
+            X = np.maximum(X, 0.0)
         # W is symmetric and a zero coordinate adds nothing to a product, so
         # (X @ W)[:, t] is the inflow of user t and the linear part needs no
         # mask; only the sqrt term is restricted to the unassigned users.
@@ -507,7 +510,11 @@ class FacilityInstance(_Family):
     def value_batch(self, X: Array) -> Array:
         X = self._rows(X)
         response = -np.expm1(-X)   # 1 - exp(-x)
-        return np.max(response[:, :, None] * self.weights[None, :, :], axis=1).sum(axis=1)
+        W = self.weights
+        best = response[:, 0, None] * W[0]   # (k, n_customers): running max over facilities
+        for s in range(1, W.shape[0]):
+            np.maximum(best, response[:, s, None] * W[s], out=best)
+        return best.sum(axis=1)
 
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(

@@ -164,6 +164,7 @@ def method_ordering_experiment(tmp_path_factory):
     return out, summary, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_06_step_mass_and_feasibility(conditional_gradient_runs,
                                                 method_ordering_experiment):
     start = time.perf_counter()
@@ -194,6 +195,7 @@ def test_criterion_06_step_mass_and_feasibility(conditional_gradient_runs,
              f"{checked} runs")
 
 
+@pytest.mark.slow
 def test_criterion_07_method_ordering_at_benchmark_scale(method_ordering_experiment):
     _, summary, elapsed = method_ordering_experiment
     failures = []

@@ -1,12 +1,13 @@
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subcont import (BoxDomain, ExperimentConfig, PolytopeDomain, QuadraticInstance,
-                     grid_brute_force, load_bipartite_tsv, read_trace_csv,
-                     run_experiment)
+from subcont import (BoxDomain, ExperimentConfig, ObjectiveHandle, PolytopeDomain,
+                     QuadraticInstance, grid_brute_force, load_bipartite_tsv,
+                     read_trace_csv, run_experiment)
 from subcont.harness import TRACE_HEADER, _write_json
 from subcont.zoo import BipartiteInfluenceInstance, RevenueInstance
 
@@ -117,6 +118,70 @@ def test_grid_never_exceeds_truth():
     for ppd in (2, 3, 10, 11):
         _, v = grid_brute_force(inst.handle(), box, ppd)
         assert v <= 0.2025 + 1e-12
+
+
+def _reference_grid_scan(f, lo, hi, ppd, P=None):
+    """Every grid point in row-major order, evaluated in one batch; the first
+    maximiser among the feasible points wins."""
+    axes = [np.linspace(lo[i], hi[i], ppd) for i in range(len(lo))]
+    X = np.array(list(itertools.product(*axes)))
+    if P is not None:
+        X = X[np.all(X @ P.A.T <= P.b + 1e-12, axis=1)]
+    vals = f.value_batch(X)
+    i = int(np.argmax(vals))
+    return X[i], float(vals[i])
+
+
+def _grid_cases(n):
+    rng = np.random.default_rng(100 + n)
+    M = rng.uniform(-1, 1, size=(n, n))
+    f = QuadraticInstance((M + M.T) / 2, rng.uniform(-1, 1, n)).handle()
+    lo = rng.uniform(-1.0, 0.5, n)
+    yield f, BoxDomain(lo, lo + rng.uniform(0.5, 2.0, n)), lo
+    upper = rng.uniform(0.5, 2.0, n)
+    # the first row caps x_1 below a third of its range, so every block whose
+    # leading coordinate lies above that is wholly infeasible
+    A = np.vstack([np.eye(1, n), rng.uniform(0, 1, size=(2, n))])
+    b = np.concatenate([[0.3 * upper[0]], rng.uniform(0.5, 1.5, 2)])
+    yield f, PolytopeDomain(A, b, upper), np.zeros(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_grid_matches_row_major_reference_scan(n):
+    rows = []
+
+    def counted(X):
+        rows.append(X.shape[0])
+        return f.value_batch(X)
+
+    for f, domain, lo in _grid_cases(n):
+        P = domain if isinstance(domain, PolytopeDomain) else None
+        g = ObjectiveHandle(n, f.value, value_batch=counted)
+        for ppd in range(1, 8):
+            want_x, want_v = _reference_grid_scan(f, lo, domain.upper, ppd, P)
+            for chunk in {1, 7, ppd ** n + 5} | {ppd ** k for k in range(n + 1)}:
+                rows.clear()
+                x, v = grid_brute_force(g, domain, ppd, chunk=chunk)
+                assert np.array_equal(x, want_x), (ppd, chunk)
+                assert abs(v - want_v) <= 1e-12, (ppd, chunk)
+                assert max(rows) <= chunk, (ppd, chunk)
+                if P is None:
+                    assert sum(rows) == ppd ** n
+
+
+def test_grid_constant_objective_returns_lower_corner():
+    f = QuadraticInstance(np.zeros((3, 3)), np.zeros(3), 2.0).handle()
+    box = BoxDomain([-1.0, 0.5, 2.0], [1.0, 1.5, 3.0])
+    for chunk in (1, 7, 25, 200_000):
+        x, v = grid_brute_force(f, box, 5, chunk=chunk)
+        assert np.array_equal(x, box.lower) and v == 2.0
+
+
+def test_grid_rejects_nonpositive_chunk():
+    f = QuadraticInstance(np.zeros((2, 2)), np.zeros(2)).handle()
+    for chunk in (0, -3):
+        with pytest.raises(ValueError, match="chunk"):
+            grid_brute_force(f, BoxDomain([0, 0], [1, 1]), 3, chunk=chunk)
 
 
 # --------------------------------------------------------------- experiments

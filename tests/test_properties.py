@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subcont import (BoxDomain, ObjectiveHandle, QuadraticInstance,
+from subcont import (CHECKERS, BoxDomain, ObjectiveHandle, QuadraticInstance,
                      check_coordinatewise_concave, check_directional_concave,
                      check_dr, check_gradient, check_hessian_offdiag,
                      check_monotone, check_submodular, check_weak_dr,
@@ -120,6 +120,28 @@ def test_directional_concave_examples():
 
     rep = check_directional_concave(MODULAR, np.zeros(2), np.ones(2))
     assert rep.ok and abs(rep.worst_violation) <= 1e-12
+
+
+def _nan_at(row):
+    """A modular objective whose batch form returns NaN on one given row."""
+    def value_batch(X):
+        vals = X.sum(axis=1)
+        vals[row] = np.nan
+        return vals
+    return ObjectiveHandle(2, lambda x: float(np.sum(x)), value_batch=value_batch)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKERS))
+def test_sampled_checkers_reject_nan_violations(name):
+    with pytest.raises(ValueError, match=rf"check_\w+: non-finite violation nan at trial 3\b"):
+        CHECKERS[name](_nan_at(3), UNIT_BOX, 50, seed=0)
+
+
+def test_directional_concave_rejects_nan_violations():
+    # grid point 0 is the first endpoint of the first pair, so trial 0 is hit
+    with pytest.raises(ValueError, match="check_directional_concave: non-finite "
+                                         "violation nan at trial 0"):
+        check_directional_concave(_nan_at(0), np.zeros(2), np.ones(2))
 
 
 # ------------------------------------------------------------- hessian sign

@@ -223,6 +223,28 @@ def test_facility_examples():
     assert two.value([10.0, 10.0]) == pytest.approx(2.0 * (1 - np.exp(-10.0)))
 
 
+def test_facility_value_batch_equals_the_broadcast_formula():
+    rng = np.random.default_rng(12)
+    W = rng.uniform(0, 1, size=(4, 9))
+    W[1] = W[0]               # two facilities with the same weights
+    W[2, :4] = W[3, :4]       # and tied weights on some customers
+    inst = FacilityInstance(W)
+    X = rng.uniform(0, 3, size=(10_000, 4)) * (rng.random((10_000, 4)) > 0.25)
+    X[:50] = 0.0              # zero rows
+    X[50:100, 1] = X[50:100, 0]
+    response = -np.expm1(-X)
+    broadcast = np.max(response[:, :, None] * W[None, :, :], axis=1).sum(axis=1)
+    got = inst.value_batch(X)
+    assert np.array_equal(got, broadcast)
+    assert all(inst.value(X[i]) == got[i] for i in range(0, 10_000, 97))
+
+
+def test_revenue_tolerated_negative_band_counts_as_zero():
+    inst = RevenueInstance([[0, 1], [1, 0]], [1, 1])
+    v = inst.value([-1e-10, 0])
+    assert np.isfinite(v) and v == inst.value([0, 0])
+
+
 def test_nonnegativity_preconditions():
     neg = np.array([-0.1, 0.5])
     rows = np.array([[0.2, 0.5], neg])
