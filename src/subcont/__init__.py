@@ -10,7 +10,7 @@ from .core import (BoxDomain, ObjectiveHandle, PolytopeDomain, SolverTrace,
                    lattice_ops)
 from .geometry import (LPSolution, active_constraints, contains, enumerate_vertices,
                        feasibility_residual, hit_and_run, linear_maximize,
-                       project_box, project_polytope, ratio_shrink)
+                       project_box, project_polytope, ratio_shrink, still_optimal)
 from .harness import (ExperimentConfig, ResultRecord, grid_brute_force,
                       load_bipartite_tsv, read_trace_csv, run_experiment,
                       write_trace_csv)

@@ -5,12 +5,15 @@ Everything runs on plain numpy.  The LP oracle is a bounded-variable primal
 simplex whose tableau holds only the m rows of ``A x + s = b``; the box bounds
 are handled as bound flips in the ratio test.  It is deterministic and
 dependency-free, which is what the solvers and the vertex-enumeration
-cross-checks need.  The hit-and-run sampler takes each chord from one ratio
-vector over all ``2n + m`` constraints.
+cross-checks need.  Each solution keeps its final simplex basis, so that
+``still_optimal`` can tell from the reduced costs alone whether the same
+vertex is optimal for another cost vector, without a new solve.  The
+hit-and-run sampler takes each chord from one ratio vector over all
+``2n + m`` constraints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -24,9 +27,20 @@ _EPS_STEP = 1e-10    # a simplex step this short counts as degenerate
 
 @dataclass
 class LPSolution:
+    """A vertex, its objective, and its active constraints.
+
+    ``tableau`` is the final simplex basis that certifies the vertex optimal:
+    the tableau columns ``B^-1 [A I]`` in complemented variables, the basic
+    column indices, and the mask of complemented (at-upper-bound) columns.
+    ``linear_maximize`` fills it in; a solution built elsewhere has None and
+    carries no certificate.
+    """
+
     point: Array
     objective: float
     basis: list[int]   # active-constraint indices, see active_constraints()
+    tableau: tuple[Array, Array, Array] | None = field(default=None, repr=False,
+                                                       compare=False)
 
 
 def contains(P: PolytopeDomain, x, tol: float = 1e-9) -> bool:
@@ -80,7 +94,8 @@ def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
     (largest reduced cost); after a degenerate step it switches to Bland's
     rule (lowest improving index) until a step makes progress, which prevents
     cycling.  Ratio-test ties go to the lowest basic-variable index.  The
-    result is a pure, deterministic function of (P, c).
+    result is a pure, deterministic function of (P, c); it carries its final
+    basis in ``tableau``, for ``still_optimal``.
     """
     c = as_point(c, P.dimension)
     n, m = P.dimension, P.num_rows
@@ -146,7 +161,28 @@ def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
     x = np.where(flipped[:n], P.upper - y[:n], y[:n])
     np.clip(x, 0.0, P.upper, out=x)
     return LPSolution(point=x, objective=float(c @ x),
-                      basis=active_constraints(P, x))
+                      basis=active_constraints(P, x),
+                      tableau=(T[:, :ncols], basis, flipped))
+
+
+def still_optimal(sol: LPSolution, c) -> bool:
+    """True iff the final simplex basis of ``sol`` proves its vertex optimal
+    for the cost vector c as well.
+
+    The primal solution of a basis does not depend on the costs, so only the
+    reduced costs ``c~ - c~_B T`` need recomputing (``c~ = [c, 0]`` with the
+    complemented entries negated).  The test is the simplex's own stopping
+    rule: no reduced cost above ``_EPS_COST``.  False when ``sol`` carries no
+    tableau.
+    """
+    if sol.tableau is None:
+        return False
+    T, basis, flipped = sol.tableau
+    cost = np.zeros(T.shape[1])
+    cost[:len(sol.point)] = as_point(c, len(sol.point))
+    cost[flipped] *= -1.0
+    reduced = cost - cost[basis] @ T
+    return bool(reduced.max(initial=-np.inf) <= _EPS_COST)
 
 
 def enumerate_vertices(P: PolytopeDomain) -> list[Array]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
                    SolverTrace, as_point)
-from .geometry import LPSolution, feasibility_residual, linear_maximize
+from .geometry import LPSolution, feasibility_residual, linear_maximize, still_optimal
 
 QUADRATIC_MODE = "quadratic_closed_form"
 CONCAVE_MODE = "concave_search"
@@ -84,8 +84,18 @@ def frank_wolfe_variant(
     step reaches exactly 1; returns the final point and the full trace.
 
     The oracle defaults to the exact LP vertex solver; an approximate one may
-    be injected for error-level experiments.  Stepsizes are truncated to
-    min(gamma_k, 1 - t), so the run ends on t = 1 without overshoot.
+    be injected for error-level experiments.  The oracle is called only when
+    the previous iteration's solution fails ``still_optimal`` for the new
+    gradient: with small stepsizes the gradient moves little and the optimal
+    vertex seldom changes.  A solution without a stored basis (as an injected
+    oracle may return) never passes, so such an oracle is called every
+    iteration.  Stepsizes are truncated to min(gamma_k, 1 - t), so the run
+    ends on t = 1 without overshoot.
+
+    ``trace.meta["opt_upper_bound"]`` is the certified upper bound
+    ``min_k f(x_k) + (<grad f(x_k), v_k> + delta) / alpha`` on the optimum:
+    for a monotone f with diminishing returns,
+    ``OPT <= f(x) + max_{v in P} <grad f(x), v>`` at every x.
     """
     if not (f.monotone and f.dr_submodular):
         raise ValueError("requires a monotone objective with diminishing returns")
@@ -97,16 +107,12 @@ def frank_wolfe_variant(
     x = np.zeros(P.dimension)
     t = 0.0
     k = 0
+    sol = None
+    upper_bound = np.inf
     trace = SolverTrace(meta={"algorithm": "frank_wolfe", "gamma": cfg.gamma,
                               "alpha": cfg.alpha, "delta": cfg.delta})
     trace.append(0, 0.0, f.value(x), feasibility_residual(P, x))
     while t < 1.0:
-        try:
-            grad = as_point(f.gradient(x), P.dimension)
-        except ValueError as e:
-            raise SolverAbort(f"gradient evaluation failed at iteration {k}: {e}",
-                              trace) from e
-        sol = oracle(P, grad)
         if cfg.schedule is not None:
             if k >= len(cfg.schedule):
                 if 1.0 - t <= 1e-9:   # schedule summed to 1 up to rounding
@@ -116,12 +122,23 @@ def frank_wolfe_variant(
             gamma_k = cfg.schedule[k]
         else:
             gamma_k = cfg.gamma
+        try:
+            grad = as_point(f.gradient(x), P.dimension)
+        except ValueError as e:
+            raise SolverAbort(f"gradient evaluation failed at iteration {k}: {e}",
+                              trace) from e
+        if sol is None or not still_optimal(sol, grad):
+            sol = oracle(P, grad)
+        # a kept solution's objective belongs to an earlier gradient
+        upper_bound = min(upper_bound, trace.records[-1].objective
+                          + (float(grad @ sol.point) + cfg.delta) / cfg.alpha)
         final_step = gamma_k >= 1.0 - t
         gamma_k = min(gamma_k, 1.0 - t)
         x = x + gamma_k * sol.point
         t = 1.0 if final_step else t + gamma_k
         k += 1
         trace.append(k, t, f.value(x), feasibility_residual(P, x))
+    trace.meta["opt_upper_bound"] = upper_bound
     return x, trace
 
 

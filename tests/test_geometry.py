@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcont import (PolytopeDomain, contains, enumerate_vertices,
+from subcont import (LPSolution, PolytopeDomain, contains, enumerate_vertices,
                      feasibility_residual, hit_and_run, linear_maximize,
-                     project_polytope, ratio_shrink)
+                     project_polytope, ratio_shrink, still_optimal)
 
 SIMPLEX = PolytopeDomain([[1.0, 1.0]], [1.0], [1.0, 1.0])
 
@@ -35,14 +35,15 @@ def test_feasibility_residual():
 # ---------------------------------------------------------------- LP oracle
 
 def _assert_optimal_vertex(P, c, sol):
-    """sol maximizes <c, x> over P, is feasible, and is a vertex (its active
-    constraints have rank n)."""
+    """sol maximizes <c, x> over P, is feasible, is a vertex (its active
+    constraints have rank n), and its stored basis certifies it for c."""
     n = P.dimension
     best = max(float(c @ v) for v in enumerate_vertices(P))
     assert sol.objective == pytest.approx(best, abs=1e-8)
     assert contains(P, sol.point, 1e-9)
     normals = np.vstack([P.A, np.eye(n), np.eye(n)])
     assert np.linalg.matrix_rank(normals[sol.basis]) == n
+    assert still_optimal(sol, c)
 
 
 def test_linear_maximize_examples():
@@ -158,6 +159,47 @@ def _degenerate_lp(draw):
 def test_linear_maximize_matches_enumeration_on_degenerate_polytopes(lp):
     P, c = lp
     _assert_optimal_vertex(P, c, linear_maximize(P, c))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_degenerate_lp(), st.data())
+def test_still_optimal_accepts_only_optimal_vertices_on_degenerate_polytopes(lp, data):
+    # costs on the same coarse grid tie often, so a second cost vector is
+    # frequently certified by the first one's basis
+    P, c = lp
+    c2 = np.array(data.draw(st.lists(_COSTS, min_size=P.dimension, max_size=P.dimension)))
+    sol = linear_maximize(P, c)
+    if still_optimal(sol, c2):
+        best = max(float(c2 @ v) for v in enumerate_vertices(P))
+        assert float(c2 @ sol.point) == pytest.approx(best, abs=1e-8)
+
+
+def test_still_optimal_under_perturbed_costs():
+    # random polytopes are nondegenerate, so the basis of a vertex is unique
+    # and a rejected vertex is strictly worse than the optimum
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for trial in range(100):
+        P = _random_polytope(rng)
+        c = rng.normal(size=P.dimension)
+        sol = linear_maximize(P, c)
+        for scale in (1e-3, 0.1, 1.0):
+            c2 = c + scale * rng.normal(size=P.dimension)
+            best = max(float(c2 @ v) for v in enumerate_vertices(P))
+            kept = still_optimal(sol, c2)
+            if kept:
+                assert float(c2 @ sol.point) == pytest.approx(best, abs=1e-8)
+            else:
+                assert float(c2 @ sol.point) < best
+            verdicts.append(kept)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_still_optimal_needs_a_stored_basis():
+    c = np.array([2.0, 1.0])
+    sol = linear_maximize(SIMPLEX, c)
+    assert still_optimal(sol, c)
+    assert not still_optimal(LPSolution(sol.point, sol.objective, sol.basis), c)
 
 
 def test_linear_maximize_deterministic():

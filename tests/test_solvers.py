@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from subcont import (BoxDomain, DGConfig, FWConfig, ObjectiveHandle,
+from subcont import (BoxDomain, DGConfig, FWConfig, LPSolution, ObjectiveHandle,
                      PolytopeDomain, QuadraticInstance, SolverAbort,
                      curvature_bound_sampled, double_greedy, frank_wolfe_variant,
                      gen_monotone_nqp, gen_nonmonotone_nqp, grid_brute_force,
-                     largest_abs_eigenvalue, maximize_1d)
+                     largest_abs_eigenvalue, linear_maximize, maximize_1d)
 from subcont.solvers import CONCAVE_MODE, QUADRATIC_MODE, REVENUE_MODE
 from subcont.zoo import RevenueInstance
 
@@ -89,6 +91,77 @@ def test_fw_explicit_schedule_and_exhaustion():
         frank_wolfe_variant(handle, P, FWConfig(schedule=[0.25, 0.25]))
 
 
+def _without_basis(sol):
+    return LPSolution(sol.point, sol.objective, sol.basis)
+
+
+def test_fw_schedule_summing_to_one_by_rounding_calls_the_oracle_once_per_step():
+    # ten steps of 0.1 sum to 0.9999999999999999: the run must stop on the
+    # exhausted schedule before computing an eleventh gradient and LP
+    inst, P = gen_monotone_nqp(3, 1, seed=2)
+    calls = {"gradient": 0, "oracle": 0}
+
+    def grad(x):
+        calls["gradient"] += 1
+        return inst.gradient(x)
+
+    def oracle(P, c):
+        calls["oracle"] += 1
+        return _without_basis(linear_maximize(P, c))
+
+    handle = dataclasses.replace(inst.handle(P.box()), gradient=grad)
+    _, trace = frank_wolfe_variant(handle, P, FWConfig(schedule=[0.1] * 10), oracle=oracle)
+    assert len(trace) == 11
+    assert calls == {"gradient": 10, "oracle": 10}
+
+
+def _fw_vertex_path(inst, P, K, strip):
+    """Active constraints of the vertex FW steps along at each iteration, the
+    final objective and the number of oracle calls; with ``strip`` the oracle
+    hides its basis, so every iteration solves cold."""
+    iteration = [0]
+    calls = []
+
+    def grad(x):
+        iteration[0] += 1
+        return inst.gradient(x)
+
+    def oracle(P, c):
+        sol = linear_maximize(P, c)
+        calls.append((iteration[0], sol.basis))
+        return _without_basis(sol) if strip else sol
+
+    handle = dataclasses.replace(inst.handle(P.box()), gradient=grad)
+    _, trace = frank_wolfe_variant(handle, P, FWConfig(K=K), oracle=oracle)
+    path = [max((c for c in calls if c[0] <= k), key=lambda c: c[0])[1]
+            for k in range(1, iteration[0] + 1)]
+    return path, trace.final_objective, len(calls)
+
+
+def test_fw_reusing_a_certified_vertex_matches_cold_solves():
+    K = 30
+    for seed in range(3):
+        inst, P0 = gen_monotone_nqp(30, 15, seed)
+        for budget in (0.5, 1.0, 1.5):
+            P = PolytopeDomain(P0.A, np.full(15, budget), P0.upper)
+            path, value, calls = _fw_vertex_path(inst, P, K, strip=False)
+            cold_path, cold_value, cold_calls = _fw_vertex_path(inst, P, K, strip=True)
+            assert path == cold_path
+            assert value == pytest.approx(cold_value, rel=1e-12)
+            assert cold_calls == len(path) >= K and calls < K
+
+
+def test_fw_certified_upper_bound_on_the_optimum():
+    for seed in range(10):
+        inst, P = gen_monotone_nqp(3, 1, seed)
+        handle = inst.handle(P.box())
+        _, trace = frank_wolfe_variant(handle, P, FWConfig(K=20))
+        _, f_star = grid_brute_force(handle, P, 41)
+        bound = trace.meta["opt_upper_bound"]
+        assert bound >= f_star - 1e-9
+        assert bound >= trace.final_objective - 1e-9
+
+
 def test_fw_aborts_with_partial_trace_on_gradient_failure():
     calls = {"n": 0}
 
@@ -148,6 +221,8 @@ def test_fw_degraded_bound_with_multiplicative_oracle_error():
         L = largest_abs_eigenvalue(inst.H)
         bound = (1 - np.exp(-alpha)) * f_star - L / (2 * K) - 1e-6
         assert trace.final_objective >= bound
+        # the certificate divides the inexact oracle's answer by alpha
+        assert trace.meta["opt_upper_bound"] >= f_star - 1e-9
 
 
 def test_dg_degraded_bound_with_inexact_search():
