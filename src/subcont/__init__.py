@@ -19,9 +19,8 @@ from .properties import (CHECKERS, PropertyReport, check_coordinatewise_concave,
                          check_hessian_offdiag, check_monotone, check_submodular,
                          check_weak_dr, hessian_estimate)
 from .solvers import (CONCAVE_MODE, DGConfig, FWConfig, QUADRATIC_MODE,
-                      REVENUE_MODE, SolverAbort, curvature_bound_sampled,
-                      double_greedy, frank_wolfe_variant, largest_abs_eigenvalue,
-                      maximize_1d)
+                      REVENUE_MODE, SolverAbort, double_greedy,
+                      frank_wolfe_variant, largest_abs_eigenvalue, maximize_1d)
 from .zoo import (BipartiteInfluenceInstance, FacilityInstance, QuadraticInstance,
                   RevenueInstance, SensorInstance, SummarizationInstance,
                   gen_bipartite_influence, gen_facility, gen_monotone_nqp,

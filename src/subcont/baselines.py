@@ -13,10 +13,10 @@ from .geometry import (feasibility_residual, hit_and_run, project_box,
 from .solvers import CONCAVE_MODE, maximize_1d
 
 
-def random_best_of(f: ObjectiveHandle, P: PolytopeDomain, k_s: int, seed: int,
-                   burn_in: int | None = None) -> tuple[Array, float]:
+def random_best_of(f: ObjectiveHandle, P: PolytopeDomain, k_s: int,
+                   seed: int) -> tuple[Array, float]:
     """Best of k_s hit-and-run samples by objective value."""
-    samples = hit_and_run(P, k_s, seed, burn_in=burn_in)
+    samples = hit_and_run(P, k_s, seed)
     values = eval_batch(f, samples)
     best = int(np.argmax(values))
     return samples[best].copy(), float(values[best])

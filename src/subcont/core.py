@@ -99,24 +99,24 @@ class PolytopeDomain:
 class ObjectiveHandle:
     """Uniform evaluation contract for an objective.
 
-    ``value`` maps a point to a float and must be deterministic.  ``gradient``
-    is present exactly when ``differentiable`` is set.  The structural flags
-    are declared by constructors; the sampled certificates in
-    :mod:`subcont.properties` are the way to actually verify them.
-    ``value_batch`` evaluates a (k, n) array of row points at once.  Handles
-    from the :mod:`subcont.zoo` families always carry it (their ``value`` is
-    its one-row case); hand-built handles may omit it, and :func:`eval_batch`
-    then falls back to a loop over ``value``.
+    ``value`` maps a point to a float and must be deterministic.
+    ``value_batch`` is required: it maps a (k, n) array of row points to their
+    k values, and must agree with ``value`` on every row.  The :mod:`subcont.zoo`
+    families write their formula once, as ``value_batch``, and ``value`` is its
+    one-row case.  ``gradient`` is present exactly when ``differentiable`` is
+    set.  The structural flags are declared by constructors; the sampled
+    certificates in :mod:`subcont.properties` are the way to actually verify
+    them.
     """
 
     dimension: int
     value: Callable[[Array], float]
+    value_batch: Callable[[Array], Array]
     gradient: Callable[[Array], Array] | None = None
     monotone: bool = False
     dr_submodular: bool = False
     submodular: bool = False
     differentiable: bool = False
-    value_batch: Callable[[Array], Array] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -129,11 +129,9 @@ class ObjectiveHandle:
 
 
 def eval_batch(f: ObjectiveHandle, X: Array) -> Array:
-    """Evaluate ``f`` on the rows of X, using the batched path when available."""
+    """Values of ``f`` on the rows of X, as one ``value_batch`` call."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if f.value_batch is not None:
-        return np.asarray(f.value_batch(X), dtype=float)
-    return np.array([f.value(row) for row in X], dtype=float)
+    return np.asarray(f.value_batch(X), dtype=float)
 
 
 class TraceRecord(NamedTuple):

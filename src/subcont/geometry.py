@@ -285,50 +285,26 @@ def _flip_inward(x, d, upper):
     return np.where(x >= upper - 1e-12, -np.abs(d), d)
 
 
-def _naive_matvec(A, d):
-    """Row dots with fixed left-to-right summation, used only on (rare)
-    degenerate-chord retries.
-
-    The chain is chaotic: a last-bit change in one retry's ``A d`` grows over
-    the following steps.  BLAS ``A @ d`` sums in another order; on
-    ``gen_monotone_nqp(100, 50, s)``, s = 0..4, k = 1000, it moved the samples
-    by up to 0.13 per coordinate and best-of-k values by up to 0.75%.  This
-    loop keeps a seed's samples identical to those of earlier releases.
-    """
-    m, n = A.shape
-    out = np.zeros(m)
-    for r in range(m):
-        acc = 0.0
-        for c in range(n):
-            acc += A[r, c] * d[c]
-        out[r] = acc
-    return out
-
-
-def hit_and_run(P: PolytopeDomain, k: int, seed: int,
-                burn_in: int | None = None, thin: int | None = None) -> Array:
+def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
     """k approximately-uniform samples from P, returned as rows.
 
-    The chain starts at the origin (feasible since b >= 0), discards
-    ``burn_in`` steps (default 50 n) and keeps one state every ``thin`` steps
-    (default n).  Each step's chord comes from one ratio test over the
-    ``2n + m`` constraints: numerators ``[upper - x, b - A x, x]`` against
-    denominators ``[d, A d, -d]``; ``A x`` is carried along incrementally and
-    recomputed every 16384 steps against drift.  A degenerate chord is retried
-    once with the direction flipped inward on tight box coordinates; if still
-    degenerate the chain stays put for that step (a lazy move, so the uniform
-    target is unchanged).  All randomness is pre-drawn in blocks from two child
-    streams of ``seed``; deterministic for a fixed seed.
+    The chain starts at the origin (feasible since b >= 0), discards a burn-in
+    of 50 n steps and then keeps one state every n steps, so it runs
+    ``50 n + k n`` steps in all.  Each step's chord comes from one ratio test
+    over the ``2n + m`` constraints: numerators ``[upper - x, b - A x, x]``
+    against denominators ``[d, A d, -d]``; ``A x`` is carried along
+    incrementally and recomputed every 16384 steps against drift.  A
+    degenerate chord is retried once with the direction flipped inward on
+    tight box coordinates; if still degenerate the chain stays put for that
+    step (a lazy move, so the uniform target is unchanged).  All randomness is
+    pre-drawn in blocks from two child streams of ``seed``; deterministic for
+    a fixed seed.
     """
     if k < 1:
         raise ValueError("need k >= 1 samples")
     n, m = P.dimension, P.num_rows
-    if burn_in is None:
-        burn_in = 50 * n
-    if thin is None:
-        thin = max(1, n)
-    if thin < 1 or burn_in < 0:
-        raise ValueError("need thin >= 1 and burn_in >= 0")
+    burn_in = 50 * n
+    thin = max(1, n)
     # separate child streams per purpose, so chains for different k share a
     # common prefix and best-of-k values grow monotonically in k
     rng_dirs = np.random.default_rng([seed, 0])
@@ -368,7 +344,16 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int,
                 lo, hi = _chord(num, den, pads_hi[j], pads_lo[j], ratio, padded)
                 if not hi - lo > 1e-12:
                     d = _flip_inward(x, dirs[i], upper)
-                    den = np.concatenate([d, _naive_matvec(A, d), -d])
+                    # A d as running row sums, in fixed left-to-right order:
+                    # the chain is chaotic, so a last-bit change in one
+                    # retry's A d grows over the following steps.  BLAS
+                    # A @ d sums in another order; on gen_monotone_nqp(100,
+                    # 50, s), s = 0..4, k = 1000, it moved the samples by up
+                    # to 0.13 per coordinate and best-of-k values by up to
+                    # 0.75%.  This order keeps a seed's samples identical to
+                    # those of earlier releases.
+                    Ad = np.cumsum(A * d, axis=1)[:, -1]
+                    den = np.concatenate([d, Ad, -d])
                     lo, hi = _chord(num, den, *_pads(den), ratio, padded)
                 if hi - lo > 1e-12:
                     z += (lo + unif[i] * (hi - lo)) * den[:n + m]

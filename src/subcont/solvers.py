@@ -67,11 +67,16 @@ class FWConfig:
 
 
 class SolverAbort(RuntimeError):
-    """Solver failure carrying the partial trace collected so far."""
+    """Solver failure carrying the partial traces collected so far.
 
-    def __init__(self, message: str, trace: SolverTrace):
+    ``traces`` holds one trace per particle (Frank-Wolfe has one, double
+    greedy two); ``trace`` is the first.
+    """
+
+    def __init__(self, message: str, trace: SolverTrace, *more: SolverTrace):
         super().__init__(message)
         self.trace = trace
+        self.traces = (trace, *more)
 
 
 def frank_wolfe_variant(
@@ -90,7 +95,11 @@ def frank_wolfe_variant(
     vertex seldom changes.  A solution without a stored basis (as an injected
     oracle may return) never passes, so such an oracle is called every
     iteration.  Stepsizes are truncated to min(gamma_k, 1 - t), so the run
-    ends on t = 1 without overshoot.
+    ends on t = 1 without overshoot.  A constant stepsize gamma makes exactly
+    ceil(1/gamma) steps (K steps for gamma = 1/K), the last one setting t to
+    1 however the float sum of the earlier ones rounded.  An explicit schedule
+    runs until t reaches 1; when it runs out first it ends there if t is
+    within 1e-9 of 1 and raises ``SolverAbort`` otherwise.
 
     ``trace.meta["opt_upper_bound"]`` is the certified upper bound
     ``min_k f(x_k) + (<grad f(x_k), v_k> + delta) / alpha`` on the optimum:
@@ -104,24 +113,16 @@ def frank_wolfe_variant(
     if f.dimension != P.dimension:
         raise ValueError("objective and polytope dimensions differ")
     oracle = linear_maximize if oracle is None else oracle
+    counted = cfg.schedule is None
+    steps = [cfg.gamma] * math.ceil(1.0 / cfg.gamma - 1e-9) if counted else cfg.schedule
     x = np.zeros(P.dimension)
     t = 0.0
-    k = 0
     sol = None
     upper_bound = np.inf
     trace = SolverTrace(meta={"algorithm": "frank_wolfe", "gamma": cfg.gamma,
                               "alpha": cfg.alpha, "delta": cfg.delta})
     trace.append(0, 0.0, f.value(x), feasibility_residual(P, x))
-    while t < 1.0:
-        if cfg.schedule is not None:
-            if k >= len(cfg.schedule):
-                if 1.0 - t <= 1e-9:   # schedule summed to 1 up to rounding
-                    break
-                raise SolverAbort("stepsize schedule exhausted before t reached 1",
-                                  trace)
-            gamma_k = cfg.schedule[k]
-        else:
-            gamma_k = cfg.gamma
+    for k, gamma_k in enumerate(steps):
         try:
             grad = as_point(f.gradient(x), P.dimension)
         except ValueError as e:
@@ -132,12 +133,16 @@ def frank_wolfe_variant(
         # a kept solution's objective belongs to an earlier gradient
         upper_bound = min(upper_bound, trace.records[-1].objective
                           + (float(grad @ sol.point) + cfg.delta) / cfg.alpha)
-        final_step = gamma_k >= 1.0 - t
+        final_step = gamma_k >= 1.0 - t or (counted and k == len(steps) - 1)
         gamma_k = min(gamma_k, 1.0 - t)
         x = x + gamma_k * sol.point
         t = 1.0 if final_step else t + gamma_k
-        k += 1
-        trace.append(k, t, f.value(x), feasibility_residual(P, x))
+        trace.append(k + 1, t, f.value(x), feasibility_residual(P, x))
+        if t >= 1.0:
+            break
+    else:
+        if 1.0 - t > 1e-9:   # else the schedule summed to 1 up to rounding
+            raise SolverAbort("stepsize schedule exhausted before t reached 1", trace)
     trace.meta["opt_upper_bound"] = upper_bound
     return x, trace
 
@@ -301,7 +306,7 @@ def double_greedy(f: ObjectiveHandle, box: BoxDomain,
             zb, vb, gap_b = maximize_1d(f, y, j, lo, hi, cfg.mode, cfg.tol)
         except ValueError as e:
             raise SolverAbort(f"1-D maximization failed on coordinate {j}: {e}",
-                              trace_x) from e
+                              trace_x, trace_y) from e
         worst_gap = max(worst_gap, gap_a, gap_b)
         delta_a = va - fx
         delta_b = vb - fy
@@ -323,47 +328,6 @@ def double_greedy(f: ObjectiveHandle, box: BoxDomain,
     return x, trace_x, trace_y
 
 
-def largest_abs_eigenvalue(H: Array, max_iter: int = 10000,
-                           tol: float = 1e-13) -> float:
-    """Power iteration estimate of max |eigenvalue| of a symmetric matrix.
-
-    Iterates with H^2 so eigenvalue pairs of opposite sign cannot stall the
-    iteration; deterministic start vector.
-    """
-    H = np.asarray(H, dtype=float)
-    n = H.shape[0]
-    v = 1.0 + 0.01 * np.arange(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = H @ (H @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (H @ (H @ v)))
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return math.sqrt(max(lam, 0.0))
-
-
-def curvature_bound_sampled(f: ObjectiveHandle, domain: BoxDomain,
-                            trials: int = 100, seed: int = 0,
-                            h: float = 1e-3) -> float:
-    """Sampled bound on |d^2/dxi^2 f(x + xi v)| along nonnegative directions;
-    a Lipschitz estimate for objectives without a closed-form Hessian."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    span = domain.upper - domain.lower
-    for _ in range(trials):
-        x = domain.lower + rng.random(domain.dimension) * span * (1.0 - 2 * h)
-        v = rng.random(domain.dimension) * span
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            continue
-        v /= nrm
-        second = (f.value(x + 2 * h * v) - 2.0 * f.value(x + h * v) + f.value(x)) / h ** 2
-        worst = max(worst, abs(float(second)))
-    return worst
+def largest_abs_eigenvalue(H: Array) -> float:
+    """max |eigenvalue| of a symmetric matrix."""
+    return float(np.abs(np.linalg.eigvalsh(np.asarray(H, dtype=float))).max())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from subcont import (BoxDomain, DGConfig, ExperimentConfig, FWConfig,
-                     ObjectiveHandle, PolytopeDomain, QuadraticInstance,
+                     PolytopeDomain, QuadraticInstance,
                      RevenueInstance, check_coordinatewise_concave, check_dr,
                      check_gradient, check_submodular, check_weak_dr, contains,
                      double_greedy, enumerate_vertices, frank_wolfe_variant,
@@ -18,6 +18,8 @@ from subcont import (BoxDomain, DGConfig, ExperimentConfig, FWConfig,
                      largest_abs_eigenvalue, linear_maximize, maximize_1d,
                      read_trace_csv, run_experiment)
 from subcont.solvers import QUADRATIC_MODE, REVENUE_MODE
+
+from handles import scalar_handle
 
 UNIT_BOX4 = BoxDomain(np.zeros(4), np.ones(4))
 
@@ -267,7 +269,7 @@ def test_criterion_10_one_dimensional_oracles():
         b = rng.uniform(-10, 10)
         lo = rng.uniform(-1.0, 0.5)
         hi = lo + rng.uniform(0.1, 2.0)
-        h = ObjectiveHandle(1, lambda v, a=a, b=b: float(a * v[0] ** 2 + b * v[0]))
+        h = scalar_handle(1, lambda v, a=a, b=b: float(a * v[0] ** 2 + b * v[0]))
         _, val, gap = maximize_1d(h, np.zeros(1), 0, lo, hi, QUADRATIC_MODE)
         zs = lo + grid * (hi - lo)
         scan = float((a * zs * zs + b * zs).max())

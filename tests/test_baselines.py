@@ -8,6 +8,8 @@ from subcont import (BoxDomain, PolytopeDomain, QuadraticInstance, contains,
 from subcont.core import eval_batch
 from subcont.solvers import QUADRATIC_MODE
 
+from handles import scalar_handle
+
 SIMPLEX = PolytopeDomain([[1.0, 1.0]], [1.0], [1.0, 1.0])
 
 
@@ -95,8 +97,7 @@ def test_single_greedy_monotone_returns_upper_corner():
 
 
 def test_single_greedy_constant_stays_at_lower_corner():
-    from subcont import ObjectiveHandle
-    const = ObjectiveHandle(3, lambda x: 2.0, submodular=True)
+    const = scalar_handle(3, lambda x: 2.0, submodular=True)
     box = BoxDomain(np.zeros(3), np.ones(3))
     x, v = single_greedy(const, box, mode=QUADRATIC_MODE)
     assert np.array_equal(x, box.lower) and v == 2.0

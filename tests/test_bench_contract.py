@@ -1,0 +1,30 @@
+"""The benchmark under ``bench/`` instruments the package from outside: its
+tracer swaps module attributes for wrappers by name, such as
+``baselines.eval_batch``, ``solvers.linear_maximize`` and
+``harness._run_method``.  One tiny traced experiment here makes a renamed
+attribute or a changed signature fail with the unit tests, not only when the
+benchmark runs."""
+from pathlib import Path
+
+from subcont import ExperimentConfig, baselines, core, run_experiment
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_benchmark_tracer_patches_and_counts_the_package(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Recorder
+
+    rec = Recorder(True)
+    cfg = ExperimentConfig(experiment="monotone_nqp", n=3, m=1, K=5, k_s=10,
+                           methods=["frank_wolfe", "random", "random_cube", "proj_grad"],
+                           output_dir=str(tmp_path))
+    with rec.installed():
+        run_experiment(cfg)
+    calls, counts = rec.spans.calls, rec.spans.counts
+    assert calls["geometry.har"] > 0
+    assert calls["geometry.lp"] > 0
+    assert calls["geometry.proj"] > 0
+    # the chain's fixed schedule: burn-in 50 n, then k samples n steps apart
+    assert counts["har_steps"] == calls["geometry.har"] * (50 * 3 + 10 * 3)
+    assert baselines.eval_batch is core.eval_batch   # the originals are back

@@ -89,12 +89,20 @@ def test_polytope_validation():
 
 
 def test_objective_handle_flag_invariants():
+    zero, zeros = (lambda x: 0.0), (lambda X: np.zeros(len(X)))
     with pytest.raises(ValueError):
-        ObjectiveHandle(2, lambda x: 0.0, differentiable=True)  # flag without gradient
+        ObjectiveHandle(2, zero, zeros, differentiable=True)  # flag without gradient
     with pytest.raises(ValueError):
-        ObjectiveHandle(2, lambda x: 0.0, gradient=lambda x: x)  # gradient without flag
+        ObjectiveHandle(2, zero, zeros, gradient=lambda x: x)  # gradient without flag
     with pytest.raises(ValueError):
-        ObjectiveHandle(2, lambda x: 0.0, dr_submodular=True, submodular=False)
+        ObjectiveHandle(2, zero, zeros, dr_submodular=True, submodular=False)
+
+
+def test_objective_handle_requires_value_batch():
+    with pytest.raises(TypeError, match="value_batch"):
+        ObjectiveHandle(2, lambda x: 0.0)
+    with pytest.raises(TypeError, match="value_batch"):
+        ObjectiveHandle(dimension=2, value=lambda x: 0.0, submodular=True)
 
 
 def test_trace_invariants():

@@ -7,12 +7,14 @@ from subcont import (CHECKERS, BoxDomain, ObjectiveHandle, QuadraticInstance,
                      check_monotone, check_submodular, check_weak_dr,
                      hessian_estimate)
 
+from handles import scalar_handle
+
 UNIT_BOX = BoxDomain([0.0, 0.0], [1.0, 1.0])
 
 
 def _handle(value, grad=None, dim=2, **flags):
-    return ObjectiveHandle(dim, value, gradient=grad,
-                           differentiable=grad is not None, **flags)
+    return scalar_handle(dim, value, gradient=grad,
+                         differentiable=grad is not None, **flags)
 
 
 BILINEAR = _handle(lambda x: float(x[0] * x[1]), lambda x: np.array([x[1], x[0]]))

@@ -5,11 +5,13 @@ import pytest
 
 from subcont import (BoxDomain, DGConfig, FWConfig, LPSolution, ObjectiveHandle,
                      PolytopeDomain, QuadraticInstance, SolverAbort,
-                     curvature_bound_sampled, double_greedy, frank_wolfe_variant,
+                     double_greedy, frank_wolfe_variant,
                      gen_monotone_nqp, gen_nonmonotone_nqp, grid_brute_force,
                      largest_abs_eigenvalue, linear_maximize, maximize_1d)
 from subcont.solvers import CONCAVE_MODE, QUADRATIC_MODE, REVENUE_MODE
 from subcont.zoo import RevenueInstance
+
+from handles import scalar_handle
 
 
 def _box_polytope(n, upper=1.0):
@@ -39,8 +41,8 @@ def test_fw_gamma_one_is_a_single_oracle_step():
 
 def test_fw_requires_flags():
     inst, P = gen_monotone_nqp(2, 1, seed=0)
-    plain = ObjectiveHandle(2, inst.value, gradient=inst.gradient, differentiable=True,
-                            submodular=True)
+    plain = ObjectiveHandle(2, inst.value, inst.value_batch, gradient=inst.gradient,
+                            differentiable=True, submodular=True)
     with pytest.raises(ValueError):
         frank_wolfe_variant(plain, P, FWConfig(K=5))
 
@@ -55,6 +57,23 @@ def test_fw_step_mass_and_feasibility_invariants():
         # objectives non-decreasing: updates only add nonnegative vectors
         objs = trace.objectives()
         assert np.all(np.diff(objs) >= -1e-9)
+
+
+def test_fw_constant_stepsize_makes_exactly_K_steps():
+    # the float sum of K steps of 1/K can end just below 1 (K = 7, 10, 30,
+    # ...); the run must still stop after K steps, on t = 1 exactly
+    inst, P = gen_monotone_nqp(3, 1, seed=0)
+    handle = inst.handle(P.box())
+    for K in range(1, 201):
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return inst.gradient(x)
+
+        _, trace = frank_wolfe_variant(dataclasses.replace(handle, gradient=grad), P,
+                                       FWConfig(K=K))
+        assert (len(calls), len(trace), trace.records[-1].t) == (K, K + 1, 1.0), K
 
 
 def test_fw_approximation_bound_against_grid_oracle():
@@ -174,8 +193,8 @@ def test_fw_aborts_with_partial_trace_on_gradient_failure():
             return np.array([np.nan, np.nan])
         return np.ones(2)
 
-    h = ObjectiveHandle(2, value, gradient=grad, monotone=True, submodular=True,
-                        dr_submodular=True, differentiable=True)
+    h = scalar_handle(2, value, gradient=grad, monotone=True, submodular=True,
+                      dr_submodular=True, differentiable=True)
     with pytest.raises(SolverAbort) as exc:
         frank_wolfe_variant(h, _box_polytope(2), FWConfig(gamma=0.25))
     assert len(exc.value.trace) >= 1
@@ -266,7 +285,7 @@ def test_dg_modular_hand_simulation():
 
 
 def test_dg_constant_objective_takes_the_lower_branch():
-    const = ObjectiveHandle(3, lambda x: 1.0, submodular=True)
+    const = scalar_handle(3, lambda x: 1.0, submodular=True)
     box = BoxDomain(np.zeros(3), np.ones(3))
     x, tx, ty = double_greedy(const, box, DGConfig(mode=QUADRATIC_MODE))
     assert np.array_equal(x, box.lower)
@@ -326,24 +345,36 @@ def test_dg_traces_nondecreasing_with_exact_solves():
 
 def test_dg_requires_submodular_flag_and_balance():
     box = BoxDomain(np.zeros(2), np.ones(2))
-    not_sub = ObjectiveHandle(2, lambda x: float(x[0] * x[1]))
+    not_sub = scalar_handle(2, lambda x: float(x[0] * x[1]))
     with pytest.raises(ValueError):
         double_greedy(not_sub, box, DGConfig())
-    negative = ObjectiveHandle(2, lambda x: -10.0 + float(x.sum()), submodular=True)
+    negative = scalar_handle(2, lambda x: -10.0 + float(x.sum()), submodular=True)
     with pytest.raises(ValueError):
         double_greedy(negative, box, DGConfig())
 
 
-def test_dg_abort_identifies_the_coordinate():
-    def spiky(x):
-        # finite at the corners and along coordinate 0, blows up only on
-        # interior probes of coordinate 1
-        return float("inf") if 0.3 < x[1] < 0.7 else float(x.sum())
+def _spiky(x):
+    # finite at the corners and along coordinate 0, blows up only on
+    # interior probes of coordinate 1
+    return float("inf") if 0.3 < x[1] < 0.7 else float(x.sum())
 
-    h = ObjectiveHandle(2, spiky, submodular=True)
+
+def test_dg_abort_identifies_the_coordinate():
+    h = scalar_handle(2, _spiky, submodular=True)
     box = BoxDomain(np.zeros(2), np.ones(2))
     with pytest.raises(SolverAbort, match="coordinate 1"):
         double_greedy(h, box, DGConfig(mode=CONCAVE_MODE))
+
+
+def test_dg_abort_carries_both_particle_traces():
+    h = scalar_handle(2, _spiky, submodular=True)
+    box = BoxDomain(np.zeros(2), np.ones(2))
+    with pytest.raises(SolverAbort) as exc:
+        double_greedy(h, box, DGConfig(mode=CONCAVE_MODE))
+    tx, ty = exc.value.traces
+    assert exc.value.trace is tx
+    assert len(tx) == len(ty) == 2   # the start row and coordinate 0
+    assert tx.records[0].objective == 0.0 and ty.records[0].objective == 2.0
 
 
 def test_dg_order_validation_and_random_order():
@@ -359,7 +390,7 @@ def test_dg_order_validation_and_random_order():
 # ------------------------------------------------------------------ 1-D maximizers
 
 def _scalar_handle(fn):
-    return ObjectiveHandle(1, lambda v: float(fn(v[0])))
+    return scalar_handle(1, lambda v: float(fn(v[0])))
 
 
 def test_maximize_1d_quadratic_examples():
@@ -441,11 +472,3 @@ def test_largest_abs_eigenvalue_matches_dense_solver():
         H = (M + M.T) / 2
         exact = np.max(np.abs(np.linalg.eigvalsh(H)))
         assert largest_abs_eigenvalue(H) == pytest.approx(exact, rel=1e-9)
-
-
-def test_curvature_bound_sampled_on_quadratic():
-    inst, box = gen_nonmonotone_nqp(4, seed=1)
-    est = curvature_bound_sampled(inst.handle(box), box, trials=200, seed=0)
-    lam = np.max(np.abs(np.linalg.eigvalsh(inst.H)))
-    assert est <= lam * 1.01
-    assert est >= 0.05 * lam
