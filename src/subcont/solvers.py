@@ -147,78 +147,30 @@ def frank_wolfe_variant(
     return x, trace
 
 
-def _golden_section_max(g, lo: float, hi: float, tol: float):
-    """Golden-section maximization of a unimodal g on [lo, hi].
+def _search(mode: str, j: int, lo: float, hi: float, tol: float):
+    """One 1-D search of ``maximize_1d`` as a generator: it yields one probe
+    coordinate at a time, is sent the value there, and returns
+    (z_best, value_best, gap_bound).
 
-    Returns (z_best, value_best, gap_bound); the value is the best actually
-    evaluated (endpoints included), and the gap bound is the final bracket
-    width times the steepest slope observed between probes.
+    Golden section keeps the best value actually evaluated (bracket ends
+    included) and bounds the gap by the final bracket width times the
+    steepest slope observed between probes.
     """
-    probes = [(lo, g(lo))]
-    if hi > lo:
-        probes.append((hi, g(hi)))
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    if b - a > tol:
-        fc, fd = g(c), g(d)
-        probes.extend([(c, fc), (d, fd)])
-        while b - a > tol:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = g(c)
-                probes.append((c, fc))
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = g(d)
-                probes.append((d, fd))
-    probes.sort(key=lambda p: p[0])
-    zs = np.array([p[0] for p in probes])
-    vs = np.array([p[1] for p in probes])
-    best = int(np.argmax(vs))
-    dz = np.diff(zs)
-    good = dz > 0
-    slope = float(np.max(np.abs(np.diff(vs)[good] / dz[good]), initial=0.0))
-    gap = (b - a) * slope + 1e-12 * (1.0 + abs(vs[best]))
-    return float(zs[best]), float(vs[best]), float(gap)
-
-
-def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
-                mode: str, tol: float = 1e-10) -> tuple[float, float, float]:
-    """Maximize f along coordinate j over [lo, hi], holding the rest of x.
-
-    Returns (z_star, value, gap_bound) with value = f(x with x_j = z_star).
-
-    Modes:
-      * quadratic_closed_form - exact for 1-D restrictions that are quadratic
-        in x_j (three-point interpolation, vertex vs endpoints); gap 0.
-      * concave_search - golden section to bracket width < tol.
-      * revenue_discontinuous - golden section on (eps, hi] for the smooth
-        concave extension, then an exact comparison with the value at the
-        discontinuity z = 0.
-    """
-    x = as_point(x, f.dimension)
-    if not 0 <= j < f.dimension:
-        raise ValueError(f"coordinate {j} out of range")
-    if lo > hi:
-        raise ValueError("need lo <= hi")
-
-    def g(z: float) -> float:
-        xz = x.copy()
-        xz[j] = z
-        val = f.value(xz)
-        if not np.isfinite(val):
-            raise ValueError(f"non-finite evaluation at probe x_{j} = {z}")
-        return float(val)
-
     if hi - lo < 1e-15:
-        return lo, g(lo), 0.0
+        return lo, (yield lo), 0.0
 
     if mode == QUADRATIC_MODE:
         mid = 0.5 * (lo + hi)
-        glo, gmid, ghi = g(lo), g(mid), g(hi)
+        glo = yield lo
+        gmid = yield mid
+        ghi = yield hi
+        # three points fit a parabola to anything: a fourth one checks it
+        quarter = lo + (hi - lo) / 4.0
+        gq = yield quarter
+        miss = abs(gq - (3.0 * glo + 6.0 * gmid - ghi) / 8.0)
+        if miss > 1e-9 * (1.0 + max(abs(glo), abs(gmid), abs(ghi), abs(gq))):
+            raise ValueError(f"restriction to x_{j} is not quadratic: probe x_{j} = "
+                             f"{quarter} misses the three-point interpolant by {miss:.3g}")
         d01 = (gmid - glo) / (mid - lo)
         d12 = (ghi - gmid) / (hi - mid)
         a = (d12 - d01) / (hi - lo)
@@ -227,24 +179,111 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
         if a < 0.0:
             vertex = -b / (2.0 * a)
             if lo < vertex < hi:
-                candidates.append((vertex, g(vertex)))
+                candidates.append((vertex, (yield vertex)))
         z_star, value = max(candidates, key=lambda p: p[1])
         return float(z_star), float(value), 0.0
 
-    if mode == CONCAVE_MODE:
-        return _golden_section_max(g, lo, hi, tol)
-
+    a, b = lo, hi
     if mode == REVENUE_MODE:
         eps = 1e-10
-        anchor = g(lo)   # exact value at the discontinuity (lo is 0 in practice)
+        anchor = yield lo   # exact value at the discontinuity (lo is 0 in practice)
         if hi <= lo + eps:
             return lo, anchor, 0.0
-        z_in, v_in, gap = _golden_section_max(g, max(lo + eps, eps), hi, tol)
-        if anchor >= v_in:
-            return lo, anchor, 0.0
-        return z_in, v_in, gap
+        a = max(lo + eps, eps)
+    probes = [(a, (yield a))]
+    if b > a:
+        probes.append((b, (yield b)))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    if b - a > tol:
+        fc = yield c
+        fd = yield d
+        probes.extend([(c, fc), (d, fd)])
+        while b - a > tol:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = yield c
+                probes.append((c, fc))
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = yield d
+                probes.append((d, fd))
+    probes.sort(key=lambda p: p[0])
+    zs = np.array([p[0] for p in probes])
+    vs = np.array([p[1] for p in probes])
+    best = int(np.argmax(vs))
+    if mode == REVENUE_MODE and anchor >= vs[best]:
+        return lo, anchor, 0.0
+    dz = np.diff(zs)
+    good = dz > 0
+    slope = float(np.max(np.abs(np.diff(vs)[good] / dz[good]), initial=0.0))
+    gap = (b - a) * slope + 1e-12 * (1.0 + abs(vs[best]))
+    return float(zs[best]), float(vs[best]), float(gap)
 
-    raise ValueError(f"unknown 1-D mode {mode!r}")
+
+def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
+                mode: str, tol: float = 1e-10
+                ) -> tuple[float, float, float] | list[tuple[float, float, float]]:
+    """Maximize f along coordinate j over [lo, hi], holding the rest of x.
+
+    ``x`` is one point or a (k, n) stack of points that share j, lo and hi.
+    For one point, returns (z_star, value, gap_bound) with
+    value = f(x with x_j = z_star); for a stack, a list of k such tuples, one
+    per row.  The rows' searches run in lockstep: each round evaluates the
+    pending probe of every unfinished row with one ``value_batch`` call, and
+    rows drop out as their searches end.  A row's result depends on its own
+    probe values only, but a multi-row ``value_batch`` may round differently
+    in the last bits from a one-row call (a BLAS matrix-matrix kernel instead
+    of a matrix-vector one).  For the zoo handles, whose ``value_batch`` uses
+    the ``value`` formula, a one-row round matches ``f.value`` bit for bit.
+
+    Modes:
+      * quadratic_closed_form - exact for 1-D restrictions that are quadratic
+        in x_j (three-point interpolation, vertex vs endpoints); gap 0.  A
+        fourth probe at lo + (hi - lo)/4 must lie on the interpolant within
+        1e-9 (1 + max |probe value|), else ``ValueError``.
+      * concave_search - golden section to bracket width < tol.
+      * revenue_discontinuous - golden section on (eps, hi] for the smooth
+        concave extension, then an exact comparison with the value at the
+        discontinuity z = 0.
+    A non-finite probe value raises ``ValueError`` naming the row, the
+    coordinate and the probe.
+    """
+    X = np.array(x, dtype=float)   # the one copy: probes overwrite column j
+    single = X.ndim < 2
+    if single:
+        X = X.reshape(1, -1)
+    if X.ndim != 2 or X.shape[1] != f.dimension:
+        raise ValueError(f"expected a point or a (k, {f.dimension}) stack, "
+                         f"got shape {np.shape(x)}")
+    if not np.isfinite(X).all():
+        raise ValueError("point contains non-finite entries")
+    if not 0 <= j < f.dimension:
+        raise ValueError(f"coordinate {j} out of range")
+    if lo > hi:
+        raise ValueError("need lo <= hi")
+    if mode not in (QUADRATIC_MODE, CONCAVE_MODE, REVENUE_MODE):
+        raise ValueError(f"unknown 1-D mode {mode!r}")
+    k = len(X)
+    searches = [_search(mode, j, lo, hi, tol) for _ in range(k)]
+    results = [None] * k
+    pending = [(r, s.send(None)) for r, s in enumerate(searches)]   # (row, probe)
+    while pending:
+        for r, z in pending:
+            X[r, j] = z
+        rows = X if len(pending) == k else X[[r for r, _ in pending]]
+        values = np.asarray(f.value_batch(rows), dtype=float).tolist()
+        probed, pending = pending, []
+        for (r, z), v in zip(probed, values):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite evaluation on row {r} at probe x_{j} = {z}")
+            try:
+                pending.append((r, searches[r].send(v)))
+            except StopIteration as done:
+                results[r] = done.value
+    return results[0] if single else results
 
 
 @dataclass
@@ -279,6 +318,12 @@ def double_greedy(f: ObjectiveHandle, box: BoxDomain,
     with the larger gain is written into *both* particles (ties go to the
     lower-corner particle), so after n rounds the particles coincide exactly.
     Requires a submodular objective with f(lower) + f(upper) >= 0.
+
+    The two 1-D searches of a coordinate are one ``maximize_1d`` call on the
+    stack (x, y), so each probe round evaluates both particles with one
+    two-row ``value_batch``.  Such a call may round differently in the last
+    bits from two one-row calls, so trace values can differ at that level
+    from a run that searches the particles one after the other.
     """
     if not f.submodular:
         raise ValueError("requires an objective with the submodular flag")
@@ -302,8 +347,8 @@ def double_greedy(f: ObjectiveHandle, box: BoxDomain,
     for step, j in enumerate(order, start=1):
         lo, hi = float(box.lower[j]), float(box.upper[j])
         try:
-            za, va, gap_a = maximize_1d(f, x, j, lo, hi, cfg.mode, cfg.tol)
-            zb, vb, gap_b = maximize_1d(f, y, j, lo, hi, cfg.mode, cfg.tol)
+            (za, va, gap_a), (zb, vb, gap_b) = maximize_1d(f, (x, y), j, lo, hi,
+                                                           cfg.mode, cfg.tol)
         except ValueError as e:
             raise SolverAbort(f"1-D maximization failed on coordinate {j}: {e}",
                               trace_x, trace_y) from e

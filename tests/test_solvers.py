@@ -312,10 +312,9 @@ def test_dg_intermediate_ordering_invariant():
     y = box.upper.copy()
     fx, fy = handle.value(x), handle.value(y)
     for j in cfg.resolve_order(5):
-        za, va, _ = maximize_1d(handle, x, j, box.lower[j], box.upper[j],
-                                QUADRATIC_MODE)
-        zb, vb, _ = maximize_1d(handle, y, j, box.lower[j], box.upper[j],
-                                QUADRATIC_MODE)
+        # the same stacked call as double_greedy makes, one row per particle
+        (za, va, _), (zb, vb, _) = maximize_1d(handle, (x, y), j, box.lower[j],
+                                               box.upper[j], QUADRATIC_MODE)
         z = za if va - fx >= vb - fy else zb
         x[j] = z
         y[j] = z
@@ -418,6 +417,21 @@ def test_maximize_1d_quadratic_matches_grid_scan():
         assert abs(val - scan) <= 1e-8 and val >= scan - 1e-12
 
 
+def test_maximize_1d_quadratic_mode_rejects_a_cubic():
+    # the three probes lo, mid, hi fit a parabola to any function; the
+    # quarter probe catches a restriction that is not quadratic
+    cubic = _scalar_handle(lambda z: 4.0 * z ** 3 - 3.0 * z)
+    with pytest.raises(ValueError, match=r"x_0 = 0\.25"):
+        maximize_1d(cubic, np.zeros(1), 0, 0.0, 1.0, QUADRATIC_MODE)
+
+
+def test_dg_aborts_on_a_restriction_that_is_not_quadratic():
+    h = scalar_handle(2, lambda x: float(x.sum() + x[1] ** 3), submodular=True)
+    box = BoxDomain(np.zeros(2), np.ones(2))
+    with pytest.raises(SolverAbort, match="coordinate 1.*not quadratic"):
+        double_greedy(h, box, DGConfig(mode=QUADRATIC_MODE))
+
+
 def test_maximize_1d_concave_search_gap_bound_is_sound():
     rng = np.random.default_rng(1)
     grid = np.linspace(0.0, 1.0, 100_000)
@@ -450,6 +464,65 @@ def test_maximize_1d_revenue_prefers_the_discontinuity_when_better():
     assert z == 0.0 and val == pytest.approx(inst.value(x))
 
 
+# stacked calls: the rows' searches run in lockstep, one value_batch a round
+
+def test_maximize_1d_stack_rows_equal_one_point_calls():
+    # scalar handles: value_batch is a row loop, so the rows cannot interact
+    quad = scalar_handle(3, lambda v: float(-2.0 * v[1] ** 2 + v[0] * v[1] + v[2]))
+    concave = scalar_handle(3, lambda v: float(np.sqrt(v[1] + 0.01 + v[0]) - v[2] * v[1]))
+    X = np.random.default_rng(4).uniform(0, 2, (5, 3))
+    inst = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.2],
+                           alpha=2.0, beta=1.0, gamma=1.5, check_balance=False)
+    revenue = scalar_handle(2, inst.value)
+    R = np.array([[0.0, 0.0], [0.3, 1.0], [1.0, 0.5]])
+    for mode, h, stack in [(QUADRATIC_MODE, quad, X), (CONCAVE_MODE, concave, X),
+                           (REVENUE_MODE, revenue, R)]:
+        before = stack.copy()
+        got = maximize_1d(h, stack, 1, 0.0, 1.0, mode, tol=1e-9)
+        assert np.array_equal(stack, before)
+        assert got == [maximize_1d(h, row, 1, 0.0, 1.0, mode, tol=1e-9) for row in stack]
+        # a one-row stack is the one-point call
+        assert maximize_1d(h, stack[:1], 1, 0.0, 1.0, mode, tol=1e-9) == got[:1]
+
+
+def test_maximize_1d_stack_rows_finish_in_different_rounds():
+    # row 0: convex in x_0, no vertex to probe (four probes); row 1: concave
+    # in x_0 with an interior vertex (lo, mid, hi, quarter, vertex)
+    h = scalar_handle(2, lambda v: float((v[1] - 0.5) * v[0] ** 2 + 0.2 * v[0]))
+    rounds = []
+
+    def value_batch(X):
+        rounds.append(len(X))
+        return h.value_batch(X)
+
+    counted = ObjectiveHandle(2, h.value, value_batch)
+    stack = np.array([[0.0, 1.0], [0.0, 0.0]])
+    got = maximize_1d(counted, stack, 0, 0.0, 1.0, QUADRATIC_MODE)
+    assert rounds == [2, 2, 2, 2, 1]
+    assert got == [maximize_1d(h, row, 0, 0.0, 1.0, QUADRATIC_MODE) for row in stack]
+    assert got[0][0] == 1.0 and got[1][0] == pytest.approx(0.2)
+
+    # revenue: a row that keeps its anchor next to one that searches
+    inst = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, 0.0],
+                           alpha=5.0, beta=1.0, gamma=1.0, check_balance=False)
+    revenue = scalar_handle(2, inst.value)
+    stack = np.array([[0.0, 1.0], [0.0, 0.0]])
+    got = maximize_1d(revenue, stack, 0, 0.0, 1.0, REVENUE_MODE, tol=1e-9)
+    assert got[0] == (0.0, inst.value(stack[0]), 0.0)
+    assert got[1][0] > 0.0
+    assert got == [maximize_1d(revenue, row, 0, 0.0, 1.0, REVENUE_MODE, tol=1e-9)
+                   for row in stack]
+
+
+def test_maximize_1d_nonfinite_probe_names_the_row():
+    h = scalar_handle(2, lambda v: np.inf if v[1] > 0.5 and v[0] > 0.3 else float(v[0]))
+    stack = np.array([[0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"row 1 at probe x_0 = "):
+        maximize_1d(h, stack, 0, 0.0, 1.0, CONCAVE_MODE)
+    with pytest.raises(ValueError, match=r"row 0 at probe x_0 = "):
+        maximize_1d(h, stack[1], 0, 0.0, 1.0, CONCAVE_MODE)
+
+
 def test_maximize_1d_errors():
     h = _scalar_handle(lambda z: z)
     with pytest.raises(ValueError):
@@ -466,9 +539,10 @@ def test_maximize_1d_errors():
 # ------------------------------------------------------------------ curvature
 
 def test_largest_abs_eigenvalue_matches_dense_solver():
+    # for a symmetric H the spectral norm (largest singular value, an SVD
+    # rather than eigvalsh) is max |eigenvalue|
     rng = np.random.default_rng(2)
     for _ in range(10):
         M = rng.normal(size=(6, 6))
         H = (M + M.T) / 2
-        exact = np.max(np.abs(np.linalg.eigvalsh(H)))
-        assert largest_abs_eigenvalue(H) == pytest.approx(exact, rel=1e-9)
+        assert largest_abs_eigenvalue(H) == pytest.approx(np.linalg.norm(H, 2), rel=1e-9)
