@@ -53,19 +53,16 @@ def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
     return x, f.value(x), trace
 
 
-def single_greedy(f: ObjectiveHandle, box: BoxDomain, order=None,
-                  tol: float = 1e-10, mode: str = CONCAVE_MODE) -> tuple[Array, float]:
-    """One pass over the coordinates from the lower corner, taking each 1-D
-    maximizer whenever its gain is positive.  No repeated sweeps."""
-    n = box.dimension
-    if order is None:
-        order = range(n)
+def single_greedy(f: ObjectiveHandle, box: BoxDomain,
+                  mode: str = CONCAVE_MODE) -> tuple[Array, float]:
+    """One pass over the coordinates in natural order from the lower corner,
+    taking each 1-D maximizer whenever its gain is positive.  No repeated
+    sweeps."""
     x = box.lower.copy()
     fx = f.value(x)
-    for j in order:
-        z, val, _ = maximize_1d(f, x, int(j), float(box.lower[j]),
-                                float(box.upper[j]), mode, tol)
+    for j in range(box.dimension):
+        z, val, _ = maximize_1d(f, x, j, float(box.lower[j]), float(box.upper[j]), mode)
         if val - fx > 0.0:
-            x[int(j)] = z
+            x[j] = z
             fx = val
     return x, fx

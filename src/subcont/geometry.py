@@ -296,9 +296,10 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
     incrementally and recomputed every 16384 steps against drift.  A
     degenerate chord is retried once with the direction flipped inward on
     tight box coordinates; if still degenerate the chain stays put for that
-    step (a lazy move, so the uniform target is unchanged).  All randomness is
-    pre-drawn in blocks from two child streams of ``seed``; deterministic for
-    a fixed seed.
+    step (a lazy move, so the uniform target is unchanged).  The randomness is
+    drawn 256 steps at a time from two child streams of ``seed``, and each
+    such chunk's denominators and pads are built at once; deterministic for a
+    fixed seed.
     """
     if k < 1:
         raise ValueError("need k >= 1 samples")
@@ -320,28 +321,19 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
     samples = np.empty((k, n))
     total = burn_in + k * thin
     emitted = 0
-    done = 0
-    block = 16384
-    # denominators and pads are built for 256 steps at once: vectorised, yet
-    # small next to a whole block's (block x (2n + m)) floats, 33 MB at
-    # n = 100, m = 50
-    chunk = 256
-    while done < total:
-        nsteps = min(block, total - done)
-        dirs = rng_dirs.standard_normal((nsteps, n))
-        unif = rng_unif.random(nsteps)
-        W = dirs @ A.T   # row products for the whole block
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(nsteps):
-                j = i % chunk
-                if j == 0:
-                    dens = np.hstack([dirs[i:i + chunk], W[i:i + chunk],
-                                      -dirs[i:i + chunk]])
-                    pads_hi, pads_lo = _pads(dens)
-                den = dens[j]
+    step = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while step < total:
+            c = min(256, total - step)
+            dirs = rng_dirs.standard_normal((c, n))
+            unif = rng_unif.random(c)
+            dens = np.hstack([dirs, dirs @ A.T, -dirs])
+            pads_hi, pads_lo = _pads(dens)
+            for i in range(c):
+                den = dens[i]
                 np.subtract(top, z, out=num[:n + m])
                 num[n + m:] = x
-                lo, hi = _chord(num, den, pads_hi[j], pads_lo[j], ratio, padded)
+                lo, hi = _chord(num, den, pads_hi[i], pads_lo[i], ratio, padded)
                 if not hi - lo > 1e-12:
                     d = _flip_inward(x, dirs[i], upper)
                     # A d as running row sums, in fixed left-to-right order:
@@ -360,16 +352,14 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
                     # clip into the box; np.clip costs more per call than both
                     np.maximum(x, zero, out=x)
                     np.minimum(x, upper, out=x)
-                step = done + i + 1
+                step += 1
                 if step > burn_in and (step - burn_in) % thin == 0:
                     samples[emitted] = x
                     emitted += 1
-        done += nsteps
-        if m:
-            Ax[:] = A @ x   # periodic resync against incremental drift
-        # free this block's draws before the next are made, so that peak
-        # memory holds one block rather than two
-        del dirs, unif, W
+            # periodic resync against incremental drift; 256 divides 16384,
+            # so every 16384th step ends a chunk
+            if m and step % 16384 == 0:
+                Ax[:] = A @ x
     return samples
 
 

@@ -257,7 +257,6 @@ class RevenueInstance(_Family):
     beta: float = 1.0
     gamma: float = 1.0
     upper: Array | None = None
-    check_balance: bool = True   # assert f(lower) + f(upper) >= 0 (coordinate-ascent precondition)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -278,11 +277,6 @@ class RevenueInstance(_Family):
         self.upper = np.ones(n) if self.upper is None else as_point(self.upper, n)
         if np.any(self.upper < 0):
             raise ValueError("upper bound must be nonnegative")
-        if self.check_balance:
-            lo, hi = np.zeros(n), self.upper
-            if self.value(lo) + self.value(hi) < -1e-9:
-                raise ValueError("f(lower) + f(upper) < 0; reduce gamma or pass "
-                                 "check_balance=False")
 
     @property
     def dimension(self) -> int:

@@ -277,7 +277,7 @@ def test_criterion_10_one_dimensional_oracles():
             failures.append(f"subproblem {trial}: closed {val} vs scan {scan}")
 
     worked = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 1.0],
-                             alpha=1.0, beta=1.0, gamma=2.0, check_balance=False)
+                             alpha=1.0, beta=1.0, gamma=2.0)
     z, val, _ = maximize_1d(worked.handle(), np.zeros(2), 1, 0.0, 1.0,
                             REVENUE_MODE, tol=1e-9)
     if abs(z - 0.25) > 1e-6 or abs(val - 0.25) > 1e-9:

@@ -6,7 +6,7 @@ attribute or a changed signature fail with the unit tests, not only when the
 benchmark runs."""
 from pathlib import Path
 
-from subcont import ExperimentConfig, baselines, core, run_experiment
+from subcont import ExperimentConfig, PolytopeDomain, baselines, core, geometry, run_experiment
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -28,3 +28,28 @@ def test_benchmark_tracer_patches_and_counts_the_package(tmp_path, monkeypatch):
     # the chain's fixed schedule: burn-in 50 n, then k samples n steps apart
     assert counts["har_steps"] == calls["geometry.har"] * (50 * 3 + 10 * 3)
     assert baselines.eval_batch is core.eval_batch   # the originals are back
+
+
+def test_tracer_counts_the_steps_the_chain_makes(monkeypatch):
+    # every step finds one chord; a degenerate one flips the direction and
+    # finds a second, so steps = chord calls - flips
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Recorder, layer_metrics
+
+    calls = {"chord": 0, "flip": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_chord", counted("chord", geometry._chord))
+    monkeypatch.setattr(geometry, "_flip_inward", counted("flip", geometry._flip_inward))
+    P = PolytopeDomain([[1.0, 1.0, 0.5]], [1.0], [1.0, 0.0, 2.0])   # x_1 pinned: retries
+    rec = Recorder(True)
+    with rec.installed():
+        baselines.hit_and_run(P, 10, 0)
+    assert calls["flip"] > 0
+    steps = layer_metrics(rec.spans, 1)["geometry.har_steps"][0]
+    assert steps == calls["chord"] - calls["flip"]

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcont import (LPSolution, PolytopeDomain, contains, enumerate_vertices,
-                     feasibility_residual, hit_and_run, linear_maximize,
-                     project_polytope, ratio_shrink, still_optimal)
+                     feasibility_residual, gen_monotone_nqp, hit_and_run,
+                     linear_maximize, project_polytope, ratio_shrink, still_optimal)
 
 SIMPLEX = PolytopeDomain([[1.0, 1.0]], [1.0], [1.0, 1.0])
 
@@ -267,10 +269,9 @@ def test_hit_and_run_uniform_moments_on_simplex():
 
 
 def test_hit_and_run_prefix_across_blocks():
-    # 5000 samples take 10100 steps, one block; 9000 take 18100, which cross
-    # the 16384-step block boundary and its A x resync.  Splitting the draws
-    # into blocks must not change the chain, and the samples after the
-    # resync must stay feasible.
+    # 5000 samples take 10100 steps; 9000 take 18100, which cross the A x
+    # resync at step 16384.  The longer chain must start as the shorter one,
+    # and the samples after the resync must stay feasible.
     P = PolytopeDomain([[1.0, 2.0]], [1.5], [1.0, 1.0])
     short = hit_and_run(P, 5000, seed=7)
     long_run = hit_and_run(P, 9000, seed=7)
@@ -289,6 +290,19 @@ def test_hit_and_run_on_pinned_polytope_stays_at_origin():
     pinned = PolytopeDomain([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1.0, 1.0])
     s = hit_and_run(pinned, 10, seed=0)
     assert np.array_equal(s, np.zeros((10, 2)))
+
+
+def test_hit_and_run_peak_memory_is_one_chunk_of_draws():
+    # draws, denominators and pads are held 256 steps at a time; drawing
+    # 16384 steps at once peaked at about 22 MiB here (n = 100, m = 50)
+    P = gen_monotone_nqp(100, 50, 0)[1]
+    tracemalloc.start()
+    try:
+        hit_and_run(P, 200, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 # ------------------------------------------------------------- ratio shrink

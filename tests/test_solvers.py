@@ -6,7 +6,7 @@ import pytest
 from subcont import (BoxDomain, DGConfig, FWConfig, LPSolution, ObjectiveHandle,
                      PolytopeDomain, QuadraticInstance, SolverAbort,
                      double_greedy, frank_wolfe_variant,
-                     gen_monotone_nqp, gen_nonmonotone_nqp, grid_brute_force,
+                     gen_monotone_nqp, gen_nonmonotone_nqp, gen_revenue, grid_brute_force,
                      largest_abs_eigenvalue, linear_maximize, maximize_1d)
 from subcont.solvers import CONCAVE_MODE, QUADRATIC_MODE, REVENUE_MODE
 from subcont.zoo import RevenueInstance
@@ -448,7 +448,7 @@ def test_maximize_1d_concave_search_gap_bound_is_sound():
 
 def test_maximize_1d_revenue_worked_example():
     inst = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 1.0],
-                           alpha=1.0, beta=1.0, gamma=2.0, check_balance=False)
+                           alpha=1.0, beta=1.0, gamma=2.0)
     z, val, gap = maximize_1d(inst.handle(), np.zeros(2), 1, 0.0, 1.0,
                               REVENUE_MODE, tol=1e-9)
     assert z == pytest.approx(0.25, abs=1e-6)
@@ -458,10 +458,32 @@ def test_maximize_1d_revenue_worked_example():
 def test_maximize_1d_revenue_prefers_the_discontinuity_when_better():
     # strong alpha: keeping the coordinate at zero preserves the sqrt revenue
     inst = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, 0.0],
-                           alpha=5.0, beta=1.0, gamma=1.0, check_balance=False)
+                           alpha=5.0, beta=1.0, gamma=1.0)
     x = np.array([0.0, 1.0])
     z, val, _ = maximize_1d(inst.handle(), x, 0, 0.0, 1.0, REVENUE_MODE, tol=1e-9)
     assert z == 0.0 and val == pytest.approx(inst.value(x))
+
+
+def test_maximize_1d_revenue_gap_holds_with_lo_above_zero():
+    # on [lo, hi] with lo > 0 the restriction is continuous and concave, so the
+    # anchor at lo is one more probe, and when it beats lo + eps concavity puts
+    # the maximum at lo: the gap bound must hold against a dense scan
+    rng = np.random.default_rng(0)
+    for seed in range(30):
+        inst = gen_revenue(8, 20, seed, alpha=3.0)
+        h = inst.handle()
+        for _ in range(20):
+            x = rng.uniform(0, 1, size=8) * (rng.random(8) > 0.3)
+            j = int(rng.integers(8))
+            lo, hi = np.sort(rng.uniform(0.01, 1.0, size=2))
+            z, val, gap = maximize_1d(h, x, j, float(lo), float(hi), REVENUE_MODE)
+            assert lo <= z <= hi
+            X = np.repeat(x[None, :], 20001, axis=0)
+            X[:, j] = np.linspace(lo, hi, 20001)
+            # the slack covers the scan's multi-row rounding: at the anchor it
+            # can exceed the one-row value of the same point by an ulp
+            slack = 1e-12 * (1.0 + abs(val))
+            assert h.value_batch(X).max() <= val + gap + slack, (seed, j, lo, hi)
 
 
 # stacked calls: the rows' searches run in lockstep, one value_batch a round
@@ -472,7 +494,7 @@ def test_maximize_1d_stack_rows_equal_one_point_calls():
     concave = scalar_handle(3, lambda v: float(np.sqrt(v[1] + 0.01 + v[0]) - v[2] * v[1]))
     X = np.random.default_rng(4).uniform(0, 2, (5, 3))
     inst = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.2],
-                           alpha=2.0, beta=1.0, gamma=1.5, check_balance=False)
+                           alpha=2.0, beta=1.0, gamma=1.5)
     revenue = scalar_handle(2, inst.value)
     R = np.array([[0.0, 0.0], [0.3, 1.0], [1.0, 0.5]])
     for mode, h, stack in [(QUADRATIC_MODE, quad, X), (CONCAVE_MODE, concave, X),
@@ -504,7 +526,7 @@ def test_maximize_1d_stack_rows_finish_in_different_rounds():
 
     # revenue: a row that keeps its anchor next to one that searches
     inst = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, 0.0],
-                           alpha=5.0, beta=1.0, gamma=1.0, check_balance=False)
+                           alpha=5.0, beta=1.0, gamma=1.0)
     revenue = scalar_handle(2, inst.value)
     stack = np.array([[0.0, 1.0], [0.0, 0.0]])
     got = maximize_1d(revenue, stack, 0, 0.0, 1.0, REVENUE_MODE, tol=1e-9)

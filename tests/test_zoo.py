@@ -7,6 +7,7 @@ from subcont import (BoxDomain, QuadraticInstance, RevenueInstance,
                      gen_bipartite_influence, gen_facility, gen_monotone_nqp,
                      gen_nonmonotone_nqp, gen_revenue, gen_sensor, gen_summarization,
                      named_instance)
+from subcont.solvers import REVENUE_MODE, DGConfig, double_greedy
 from subcont.zoo import BipartiteInfluenceInstance, FacilityInstance
 
 
@@ -135,10 +136,11 @@ def test_revenue_rejects_out_of_box():
 
 
 def test_revenue_balance_assertion():
-    with pytest.raises(ValueError):
-        _two_node_revenue(gamma=2.0)
-    inst = _two_node_revenue(gamma=2.0, check_balance=False)
+    # f(0) + f(upper) = -2 < 0: the instance is built, DoubleGreedy refuses it
+    inst = _two_node_revenue(gamma=2.0)
     assert inst.value([0.0, 0.5]) == pytest.approx(np.sqrt(0.5) + 0.5 - 1.0)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        double_greedy(inst.handle(), inst.box(), DGConfig(mode=REVENUE_MODE))
 
 
 def test_revenue_submodular_with_mixed_supports():

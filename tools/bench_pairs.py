@@ -3,15 +3,24 @@
     python3 tools/bench_pairs.py --parent HEAD --label dg_lockstep \
         --workload box_sweep --workload desk_certify
 
-Checks the parent revision out with ``git worktree`` into a temporary
-directory (removed at the end), then for each workload runs the command of
-``BENCHMARK.json`` (``bench/run.py --trace 0``, ``run_seconds`` per run) in
-both trees, one pair per seed 1, 2, ... (``--pairs``, at least 10).  The tree
-that runs first alternates from pair to pair, so a drift of the machine falls
-on both sides alike.  Writes ``BENCH_<label>.json``
-at the repository root: every run's output, and per end-to-end metric the
-median and quartiles of each side, the median change, and on how many pairs
-the change came out better.
+Exports the parent revision's committed files with ``git archive`` into a
+temporary directory (removed at the end), then for each workload runs the
+command of ``BENCHMARK.json`` (``bench/run.py --trace 0``, ``run_seconds`` per
+run) in both trees, one pair per seed 1, 2, ... (``--pairs``, at least 10).
+The tree that runs first alternates from pair to pair, so a drift of the
+machine falls on both sides alike.  Writes ``BENCH_<label>.json`` at the
+repository root: every run's output, and per end-to-end metric the median and
+quartiles of each side, the median change, on how many pairs the change came
+out better, and a verdict against the metric's ``bound``:
+
+* ``worse``: the change's median is worse than the parent's by more than the
+  bound (a fraction of the parent's median);
+* ``unresolved``: the parent's quartile spread exceeds the bound and not every
+  change run beats every parent run, so the runs cannot tell;
+* ``within bound`` otherwise.
+
+A workload where the change failed more operations than the parent is
+flagged with ``more_failures``.
 """
 from __future__ import annotations
 
@@ -46,6 +55,21 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _relative(diff: float, base: float) -> float:
+    return diff / abs(base) if base else (0.0 if diff == 0 else float("inf"))
+
+
+def _verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    sign = 1.0 if lower else -1.0   # positive = worse
+    p = _spread(parent)
+    if _relative(sign * (statistics.median(change) - p["median"]), p["median"]) > bound:
+        return "worse"
+    all_beat = max(change) < min(parent) if lower else min(change) > max(parent)
+    if _relative(p["q3"] - p["q1"], p["median"]) > bound and not all_beat:
+        return "unresolved"
+    return "within bound"
+
+
 def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for spec in metrics:
@@ -54,10 +78,11 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
         change = [r["change"]["metrics"][name]["value"] for r in runs]
         better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         p_mid, c_mid = statistics.median(parent), statistics.median(change)
-        out[name] = {"unit": spec["unit"], "better": spec["better"],
+        out[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
                      "parent": _spread(parent), "change": _spread(change),
                      "median_change_pct": 100.0 * (c_mid - p_mid) / abs(p_mid) if p_mid else None,
-                     "change_better_pairs": better, "pairs": len(runs)}
+                     "change_better_pairs": better, "pairs": len(runs),
+                     "verdict": _verdict(parent, change, lower, spec["bound"])}
     return out
 
 
@@ -85,28 +110,32 @@ def main(argv=None) -> int:
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_tree), parent_sha)
-        try:
-            for workload in args.workload:
-                runs = []
-                for seed in range(1, args.pairs + 1):
-                    sides = [("parent", parent_tree), ("change", ROOT)]
-                    if seed % 2 == 0:
-                        sides.reverse()
-                    run = {"seed": seed, "first": sides[0][0]}
-                    for side, tree in sides:
-                        run[side] = _run(tree, bench["command"], workload, seed, seconds)
-                    runs.append(run)
-                    print(f"{workload} seed {seed}: " + ", ".join(
-                        f"{side} solve_s {run[side]['metrics']['solve_s']['value']:.4g}"
-                        for side in ("parent", "change")), file=sys.stderr)
-                report["workloads"][workload] = {
-                    "metrics": _summary(runs, bench["end_to_end"]),
-                    "all_correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
-                    "failed": {s: sum(r[s]["failed"] for r in runs) for s in ("parent", "change")},
-                    "runs": runs}
-        finally:
-            _git("worktree", "remove", "--force", str(parent_tree))
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_sha],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        for workload in args.workload:
+            runs = []
+            for seed in range(1, args.pairs + 1):
+                sides = [("parent", parent_tree), ("change", ROOT)]
+                if seed % 2 == 0:
+                    sides.reverse()
+                run = {"seed": seed, "first": sides[0][0]}
+                for side, tree in sides:
+                    run[side] = _run(tree, bench["command"], workload, seed, seconds)
+                runs.append(run)
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{side} solve_s {run[side]['metrics']['solve_s']['value']:.4g}"
+                    for side in ("parent", "change")), file=sys.stderr)
+            failed = {s: sum(r[s]["failed"] for r in runs) for s in ("parent", "change")}
+            metrics = _summary(runs, bench["end_to_end"])
+            report["workloads"][workload] = {
+                "metrics": metrics,
+                "all_correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
+                "failed": failed, "more_failures": failed["change"] > failed["parent"],
+                "runs": runs}
+            for name, m in metrics.items():
+                print(f"{workload} {name}: {m['verdict']}", file=sys.stderr)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)
