@@ -13,9 +13,12 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
-from .harness import ExperimentConfig, _function_or_path, grid_brute_force, run_experiment
+from .core import BoxDomain
+from .harness import ExperimentConfig, grid_brute_force, load_bipartite_tsv, run_experiment
 from .properties import CHECKERS
+from .zoo import RevenueInstance, named_instance
 
 DEFAULT_BASE_SEED = 0
 
@@ -25,6 +28,16 @@ def _base_seed(explicit: int | None) -> int:
         return explicit
     env = os.environ.get("SUBCONT_SEED")
     return int(env) if env else DEFAULT_BASE_SEED
+
+
+def _function_or_path(name: str, n: int, seed: int):
+    if Path(name).exists():
+        inst = load_bipartite_tsv(name)
+        handle = inst.handle()
+        if isinstance(inst, RevenueInstance):
+            return handle, inst.box()
+        return handle, BoxDomain([0.0] * handle.dimension, [1.0] * handle.dimension)
+    return named_instance(name, n, seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,12 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", type=int, default=4)
     run.add_argument("--m", type=int, default=2)
     run.add_argument("--K", type=int, default=50)
-    run.add_argument("--gamma", type=float, default=None)
-    run.add_argument("--delta", type=float, default=0.0)
     run.add_argument("--seeds", type=int, default=1, help="number of instance seeds")
     run.add_argument("--seed-base", type=int, default=None)
     run.add_argument("--ks", type=int, default=1000)
-    run.add_argument("--steps", type=str, default="1e-4,1e-3,1e-2",
+    run.add_argument("--steps", type=str, default=None,
                      help="comma-separated ProjGrad step sizes")
     run.add_argument("--sweep", type=str, default=None,
                      help="comma-separated sweep values")
@@ -53,9 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid", type=int, default=51, help="grid points per dimension")
     run.add_argument("--data", type=str, default=None)
     run.add_argument("--out", type=str, default="results")
-    run.add_argument("--function", type=str, default=None)
-    run.add_argument("--property", dest="prop", type=str, default=None)
-    run.add_argument("--trials", type=int, default=500)
 
     check = sub.add_parser("check", help="run a sampled property certificate")
     check.add_argument("--function", required=True,
@@ -79,18 +87,16 @@ def _cmd_run(args) -> int:
     base = _base_seed(args.seed_base)
     cfg = ExperimentConfig(
         experiment=args.experiment,
-        n=args.n, m=args.m, K=args.K, gamma=args.gamma, delta=args.delta,
+        n=args.n, m=args.m, K=args.K,
         seeds=[base + i for i in range(args.seeds)],
         k_s=args.ks,
-        steps=[float(s) for s in args.steps.split(",") if s],
         data_path=args.data,
         output_dir=args.out,
         grid_oracle=args.grid_oracle,
         grid_points=args.grid,
-        function=args.function,
-        prop=args.prop,
-        trials=args.trials,
     )
+    if args.steps:
+        cfg.steps = [float(s) for s in args.steps.split(",") if s]
     if args.sweep:
         cfg.sweep = [float(s) for s in args.sweep.split(",") if s]
     if args.methods:

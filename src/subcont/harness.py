@@ -6,7 +6,6 @@ Layout of an output directory:
   traces/<method>__sweep<value>__seed<seed>.csv
   summary.json            per-method mean/std of final values per sweep point
   results.json            per-run records including wall time
-  property_report.json    (property_check runs only)
 
 Re-running with the same configuration reproduces byte-identical CSVs; trace
 CSV header is exactly ``iteration,t,objective,feasibility_residual``.
@@ -15,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,21 +25,25 @@ from .baselines import proj_grad_ascent, random_best_of, random_cube_baseline, s
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
                    SolverTrace, eval_batch)
 from .geometry import feasibility_residual
-from .properties import CHECKERS
 from .solvers import (CONCAVE_MODE, DGConfig, FWConfig, QUADRATIC_MODE,
                       REVENUE_MODE, double_greedy, frank_wolfe_variant)
 from .zoo import (BipartiteInfluenceInstance, RevenueInstance, balanced_revenue,
                   gen_bipartite_influence, gen_monotone_nqp,
-                  gen_nonmonotone_nqp, gen_revenue, named_instance)
+                  gen_nonmonotone_nqp, gen_revenue)
 
-EXPERIMENTS = ("monotone_nqp", "nonmonotone_nqp", "budget_allocation",
-               "revenue", "property_check")
-
+# The experiments and the methods each runs by default.
 _DEFAULT_METHODS = {
     "monotone_nqp": ["frank_wolfe", "random", "random_cube", "proj_grad"],
     "budget_allocation": ["frank_wolfe", "random", "random_cube", "proj_grad"],
     "nonmonotone_nqp": ["double_greedy", "random_cube", "single_greedy", "proj_grad"],
     "revenue": ["double_greedy", "random_cube", "single_greedy"],
+}
+
+# The context key of the domain each method runs on and returns a point of.
+# Box methods need an experiment whose instance lives on a box.
+_METHOD_DOMAIN = {
+    "frank_wolfe": "polytope", "random": "polytope", "random_cube": "polytope",
+    "proj_grad": "polytope", "double_greedy": "box", "single_greedy": "box",
 }
 
 TRACE_HEADER = "iteration,t,objective,feasibility_residual"
@@ -52,8 +56,6 @@ class ExperimentConfig:
     m: int = 2
     seeds: list[int] = field(default_factory=lambda: [0])
     K: int = 50
-    gamma: float | None = None
-    delta: float = 0.0
     steps: list[float] = field(default_factory=lambda: [1e-4, 1e-3, 1e-2])
     k_s: int = 1000
     data_path: str | None = None
@@ -62,45 +64,33 @@ class ExperimentConfig:
     methods: list[str] | None = None
     grid_oracle: bool = False
     grid_points: int = 51
-    function: str | None = None      # property_check target
-    prop: str | None = None          # property_check property name
-    trials: int = 500                # property_check trial count
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.experiment == "property_check":
-            if not self.function:
-                raise ValueError("property_check needs a target function")
-            if self.prop not in CHECKERS:
-                raise ValueError(f"unknown property {self.prop!r}; "
-                                 f"choose from {sorted(CHECKERS)}")
-            if self.trials < 1:
-                raise ValueError("trials must be positive")
-            return
+        if self.experiment not in _DEFAULT_METHODS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; "
+                             f"choose from {list(_DEFAULT_METHODS)}")
         if self.n < 1 or (self.experiment == "monotone_nqp" and self.m < 1):
             raise ValueError("instance sizes must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        _reject_collisions("seeds", self.seeds, str)
         if self.K < 1:
             raise ValueError("iteration budget K must be positive")
-        if self.gamma is not None and not (0 < self.gamma <= 1):
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
         if self.k_s < 1:
             raise ValueError("k_s must be positive")
-        if not self.sweep or any(s <= 0 for s in self.sweep):
-            raise ValueError("sweep values must be positive")
-        box_only = {"double_greedy", "single_greedy"}
-        for mname in self.resolved_methods():
-            base = mname.split("_step")[0]
-            if base not in ("frank_wolfe", "random", "random_cube", "proj_grad",
-                            "double_greedy", "single_greedy"):
-                raise ValueError(f"unknown method {mname!r}")
-            if base in box_only and self.experiment in ("monotone_nqp",
-                                                        "budget_allocation"):
+        if not self.sweep or not all(math.isfinite(s) and s > 0 for s in self.sweep):
+            raise ValueError("sweep values must be finite and positive")
+        _reject_collisions("sweep values", self.sweep, lambda s: f"{s:g}")
+        if not all(math.isfinite(s) and s > 0 for s in self.steps):
+            raise ValueError(f"proj_grad steps must be finite and positive, got {self.steps}")
+        if not self.steps and "proj_grad" in self.resolved_methods():
+            raise ValueError("proj_grad needs at least one step size")
+        methods = _expand_methods(self)
+        for mname in methods:
+            if _METHOD_DOMAIN[_split_method(mname)[0]] == "box" and \
+                    self.experiment in ("monotone_nqp", "budget_allocation"):
                 raise ValueError(f"{mname} needs a box-constrained experiment")
+        _reject_collisions("methods", methods, str)
         if self.grid_oracle:
             if self.n > 6 or self.grid_points ** self.n > 1e8:
                 raise ValueError("grid oracle guard: needs n <= 6 and "
@@ -108,7 +98,34 @@ class ExperimentConfig:
 
     def resolved_methods(self) -> list[str]:
         return list(self.methods) if self.methods is not None \
-            else list(_DEFAULT_METHODS.get(self.experiment, []))
+            else list(_DEFAULT_METHODS[self.experiment])
+
+
+def _reject_collisions(what: str, values, name) -> None:
+    """Raise if two of ``values`` share an output name ``name(value)``."""
+    first: dict[str, int] = {}
+    for i, v in enumerate(values):
+        j = first.setdefault(name(v), i)
+        if j != i:
+            raise ValueError(f"{what} {values[j]!r} and {v!r} share the output "
+                             f"name {name(v)!r}")
+
+
+def _split_method(name: str) -> tuple[str, float | None]:
+    """A method name's base and, for ``proj_grad_step<s>``, its step size."""
+    base, marker, text = name.partition("_step")
+    if base not in _METHOD_DOMAIN or (marker and base != "proj_grad"):
+        raise ValueError(f"unknown method {name!r}; choose from {list(_METHOD_DOMAIN)}"
+                         " or proj_grad_step<s>")
+    if not marker:
+        return base, None
+    try:
+        step = float(text)
+    except ValueError:
+        step = math.nan
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"method {name!r}: step {text!r} is not a finite positive number")
+    return base, step
 
 
 @dataclass
@@ -323,12 +340,9 @@ def _run_method(method: str, ctx: dict, cfg: ExperimentConfig,
                 seed: int) -> tuple[Array, SolverTrace]:
     handle = ctx["handle"]
     if method == "frank_wolfe":
-        fw = FWConfig(gamma=cfg.gamma, K=cfg.K if cfg.gamma is None else None,
-                      delta=cfg.delta)
-        x, trace = frank_wolfe_variant(handle, ctx["polytope"], fw)
-        return x, trace
+        return frank_wolfe_variant(handle, ctx["polytope"], FWConfig(K=cfg.K))
     if method == "double_greedy":
-        dg = DGConfig(seed=_subseed(seed, 5), delta=cfg.delta, mode=ctx["mode"])
+        dg = DGConfig(seed=_subseed(seed, 5), mode=ctx["mode"])
         x, trace_x, _ = double_greedy(handle, ctx["box"], dg)
         return x, trace_x
     if method == "random":
@@ -340,8 +354,8 @@ def _run_method(method: str, ctx: dict, cfg: ExperimentConfig,
     if method == "single_greedy":
         x, v = single_greedy(handle, ctx["box"], mode=ctx["mode"])
         return x, _single_row_trace(v, ctx["box"], x)
-    if method.startswith("proj_grad"):
-        step = float(method.split("_step", 1)[1]) if "_step" in method else cfg.steps[0]
+    if method.startswith("proj_grad_step"):
+        _, step = _split_method(method)
         domain = ctx["polytope"] if ctx["polytope"].num_rows else ctx["box"]
         x, _, trace = proj_grad_ascent(handle, domain, step, cfg.K)
         return x, trace
@@ -367,12 +381,17 @@ def write_trace_csv(path: Path, trace: SolverTrace) -> None:
 
 def read_trace_csv(path) -> list[tuple[int, float, float, float]]:
     lines = Path(path).read_text().splitlines()
-    if lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path}: unexpected trace header {lines[0]!r}")
+    if not lines or lines[0] != TRACE_HEADER:
+        found = lines[0] if lines else "an empty file"
+        raise ValueError(f"{path}:1: expected header {TRACE_HEADER!r}, got {found!r}")
     out = []
-    for line in lines[1:]:
-        it, t, obj, res = line.split(",")
-        out.append((int(it), float(t), float(obj), float(res)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            it, t, obj, res = line.split(",")
+            out.append((int(it), float(t), float(obj), float(res)))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected four numbers, "
+                             f"got {line!r}") from None
     return out
 
 
@@ -382,10 +401,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _manifest(cfg: ExperimentConfig, status: str, error: str | None = None) -> dict:
     doc = asdict(cfg)
-    doc["methods"] = _expand_methods(cfg) if cfg.experiment != "property_check" else []
+    doc["methods"] = _expand_methods(cfg)
     doc["status"] = status
     doc["error"] = error
-    doc["proj_grad_steps_are_library_defaults"] = cfg.steps == [1e-4, 1e-3, 1e-2]
     return doc
 
 
@@ -401,39 +419,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", _manifest(cfg, "running"))
     try:
-        records = _run_property_check(cfg, out) if cfg.experiment == "property_check" \
-            else _run_sweep(cfg, out)
+        records = _run_sweep(cfg, out)
     except Exception as e:
         _write_json(out / "manifest.json", _manifest(cfg, "failed", f"{type(e).__name__}: {e}"))
         raise
     _write_json(out / "manifest.json", _manifest(cfg, "completed"))
     return records
-
-
-def _run_property_check(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
-    seed = cfg.seeds[0]
-    handle, box = _function_or_path(cfg.function, cfg.n, seed)
-    checker = CHECKERS[cfg.prop]
-    start = time.perf_counter()
-    report = checker(handle, box, cfg.trials, 1e-9, seed=seed)
-    elapsed = time.perf_counter() - start
-    payload = {"function": cfg.function, "property": cfg.prop, "seed": seed,
-               "report": report.to_dict()}
-    report_path = out / "property_report.json"
-    _write_json(report_path, payload)
-    return [ResultRecord(method=f"property:{cfg.prop}", instance_seed=seed,
-                         sweep_value=0.0, final_value=report.worst_violation,
-                         trace_path=str(report_path), wall_time=elapsed)]
-
-
-def _function_or_path(name: str, n: int, seed: int):
-    if Path(name).exists():
-        inst = load_bipartite_tsv(name)
-        handle = inst.handle()
-        if isinstance(inst, RevenueInstance):
-            return handle, inst.box()
-        return handle, BoxDomain(np.zeros(handle.dimension), np.ones(handle.dimension))
-    return named_instance(name, n, seed)
 
 
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
@@ -456,8 +447,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
                 start = time.perf_counter()
                 x, trace = _run_method(method, ctx, cfg, seed)
                 elapsed = time.perf_counter() - start
-                dom = ctx["box"] if method.split("_step")[0] in \
-                    ("double_greedy", "single_greedy") else ctx["polytope"]
+                dom = ctx[_METHOD_DOMAIN[_split_method(method)[0]]]
                 if feasibility_residual(dom, x) > 1e-6:
                     raise RuntimeError(f"{method} returned an infeasible point")
                 tpath = traces_dir / f"{method}__sweep{sweep:g}__seed{seed}.csv"

@@ -290,12 +290,12 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
 class DGConfig:
     """Double-greedy parameters: coordinate order (an explicit permutation, or
     a seed for a random one, or natural order when neither is given), the
-    declared additive 1-D error budget delta, the bracket tolerance for the
-    searching modes, and the 1-D subproblem mode."""
+    bracket tolerance for the searching modes, and the 1-D subproblem mode.
+    The additive 1-D error a run actually incurs is not a parameter: it is
+    measured and recorded as the traces' ``meta["max_gap_bound"]``."""
 
     order: Sequence[int] | None = None
     seed: int | None = None
-    delta: float = 0.0
     mode: str = CONCAVE_MODE
     tol: float = 1e-10
 
@@ -337,8 +337,7 @@ def double_greedy(f: ObjectiveHandle, box: BoxDomain,
     if fx + fy < -1e-9:
         raise ValueError("f(lower) + f(upper) must be nonnegative")
     order = cfg.resolve_order(n)
-    meta = {"algorithm": "double_greedy", "delta": cfg.delta, "mode": cfg.mode,
-            "order": list(order)}
+    meta = {"algorithm": "double_greedy", "mode": cfg.mode, "order": list(order)}
     trace_x = SolverTrace(meta=dict(meta))
     trace_y = SolverTrace(meta=dict(meta))
     trace_x.append(0, 0.0, fx, feasibility_residual(box, x))

@@ -58,6 +58,9 @@ def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
-    code = main(["run", "--experiment", "warp", "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    # property certificates run through `subcont check`, not as an experiment
+    for name in ("warp", "property_check"):
+        code = main(["run", "--experiment", name, "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: unknown experiment '{name}'; choose from ['monotone_nqp'" in err

@@ -286,17 +286,6 @@ def test_manifest_lands_before_any_result_file(tmp_path, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
-def test_property_check_experiment(tmp_path):
-    cfg = ExperimentConfig(experiment="property_check", function="bilinear",
-                           prop="weak-dr", trials=200, seeds=[1],
-                           output_dir=str(tmp_path / "pc"))
-    records = run_experiment(cfg)
-    payload = json.loads((Path(cfg.output_dir) / "property_report.json").read_text())
-    assert payload["report"]["verdict"] == "fail"
-    assert payload["report"]["witness"] is not None
-    assert records[0].method == "property:weak-dr"
-
-
 def test_monotone_experiment_ordering(tmp_path):
     cfg = ExperimentConfig(experiment="monotone_nqp", n=3, m=1, seeds=[0, 1],
                            K=10, sweep=[0.5, 1.0], k_s=50,
@@ -329,13 +318,66 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(experiment="monotone_nqp", seeds=[]).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="monotone_nqp", methods=["warp_drive"]).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="property_check", function="bilinear",
-                         prop="nope").validate()
+    with pytest.raises(ValueError, match="choose from"):
+        ExperimentConfig(experiment="property_check").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nonmonotone_nqp", n=9, grid_oracle=True).validate()
     with pytest.raises(ValueError, match="box-constrained"):
         ExperimentConfig(experiment="monotone_nqp", methods=["double_greedy"]).validate()
+
+
+def test_validate_rejects_output_name_collisions(tmp_path):
+    """Two cells or methods that print alike would share a trace file and a
+    summary key, so the later run would silently overwrite the earlier one."""
+    cases = [
+        (dict(seeds=[0, 0]), "seeds 0 and 0"),
+        (dict(sweep=[1.0000001, 1.0000002]), "1.0000001 and 1.0000002 share .* '1'"),
+        (dict(methods=["random_cube", "random_cube"]), "'random_cube' and 'random_cube'"),
+        (dict(methods=["proj_grad"], steps=[1e-4, 1.0000001e-4]),
+         "'proj_grad_step0.0001' and 'proj_grad_step0.0001'"),
+    ]
+    for kw, message in cases:
+        cfg = _tiny_cfg(tmp_path, **kw)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
+        assert not Path(cfg.output_dir).exists()
+
+
+def test_validate_rejects_bad_proj_grad_steps(tmp_path):
+    bad = [
+        (dict(methods=["double_greedy", "proj_grad_stepfoo"]), "'proj_grad_stepfoo'"),
+        (dict(methods=["proj_grad_step0"]), "not a finite positive"),
+        (dict(methods=["proj_grad_stepnan"]), "not a finite positive"),
+        (dict(methods=["proj_grad_step"]), "not a finite positive"),
+        (dict(methods=["frank_wolfe_step0.1"]), "unknown method"),
+        (dict(methods=["proj_grad"], steps=[-0.5]), "finite and positive"),
+        (dict(methods=["proj_grad"], steps=[float("inf")]), "finite and positive"),
+        (dict(methods=None, steps=[]), "at least one step"),
+    ]
+    for kw, message in bad:
+        cfg = _tiny_cfg(tmp_path, **kw)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
+        assert not Path(cfg.output_dir).exists()
+    # without proj_grad an empty step list is fine, and a named step runs as named
+    _tiny_cfg(tmp_path, steps=[]).validate()
+    records = run_experiment(_tiny_cfg(tmp_path, methods=["proj_grad_step0.01"]))
+    assert [r.method for r in records] == ["proj_grad_step0.01"] * 2
+
+
+def test_read_trace_csv_errors_are_located(tmp_path):
+    p = tmp_path / "trace.csv"
+    p.write_text("")
+    with pytest.raises(ValueError, match=f"{p}:1: .*empty file"):
+        read_trace_csv(p)
+    p.write_text(f"{TRACE_HEADER}\n0,0,1.5,0\n1,0.5,2.5\n")
+    with pytest.raises(ValueError, match=f"{p}:3: .*'1,0.5,2.5'"):
+        read_trace_csv(p)
+    p.write_text(f"{TRACE_HEADER}\n0,zero,1.5,0\n")
+    with pytest.raises(ValueError, match=f"{p}:2: "):
+        read_trace_csv(p)
+    p.write_text(f"{TRACE_HEADER}\n0,0,1.5,0\n")
+    assert read_trace_csv(p) == [(0, 0.0, 1.5, 0.0)]
 
 
 def test_data_path_experiment(tmp_path):
