@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -74,23 +75,27 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("need at least one seed")
         _reject_collisions("seeds", self.seeds, str)
-        if self.K < 1:
-            raise ValueError("iteration budget K must be positive")
+        if not isinstance(self.K, numbers.Integral) or self.K < 1:
+            raise ValueError(f"iteration budget K must be a positive int, got {self.K!r}")
         if self.k_s < 1:
             raise ValueError("k_s must be positive")
         if not self.sweep or not all(math.isfinite(s) and s > 0 for s in self.sweep):
             raise ValueError("sweep values must be finite and positive")
         _reject_collisions("sweep values", self.sweep, lambda s: f"{s:g}")
+        methods = self.resolved_methods()
+        if not methods:
+            raise ValueError("need at least one method")
+        for m in methods:
+            if m not in _METHOD_DOMAIN:
+                raise ValueError(f"unknown method {m!r}; choose from {list(_METHOD_DOMAIN)}")
+            if _METHOD_DOMAIN[m] == "box" and \
+                    self.experiment in ("monotone_nqp", "budget_allocation"):
+                raise ValueError(f"{m} needs a box-constrained experiment")
         if not all(math.isfinite(s) and s > 0 for s in self.steps):
             raise ValueError(f"proj_grad steps must be finite and positive, got {self.steps}")
-        if not self.steps and "proj_grad" in self.resolved_methods():
+        if not self.steps and "proj_grad" in methods:
             raise ValueError("proj_grad needs at least one step size")
-        methods = _expand_methods(self)
-        for mname in methods:
-            if _METHOD_DOMAIN[_split_method(mname)[0]] == "box" and \
-                    self.experiment in ("monotone_nqp", "budget_allocation"):
-                raise ValueError(f"{mname} needs a box-constrained experiment")
-        _reject_collisions("methods", methods, str)
+        _reject_collisions("methods", _expand_methods(self), str)
         if self.grid_oracle:
             if self.n > 6 or self.grid_points ** self.n > 1e8:
                 raise ValueError("grid oracle guard: needs n <= 6 and "
@@ -109,23 +114,6 @@ def _reject_collisions(what: str, values, name) -> None:
         if j != i:
             raise ValueError(f"{what} {values[j]!r} and {v!r} share the output "
                              f"name {name(v)!r}")
-
-
-def _split_method(name: str) -> tuple[str, float | None]:
-    """A method name's base and, for ``proj_grad_step<s>``, its step size."""
-    base, marker, text = name.partition("_step")
-    if base not in _METHOD_DOMAIN or (marker and base != "proj_grad"):
-        raise ValueError(f"unknown method {name!r}; choose from {list(_METHOD_DOMAIN)}"
-                         " or proj_grad_step<s>")
-    if not marker:
-        return base, None
-    try:
-        step = float(text)
-    except ValueError:
-        step = math.nan
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"method {name!r}: step {text!r} is not a finite positive number")
-    return base, step
 
 
 @dataclass
@@ -338,6 +326,10 @@ def _single_row_trace(value: float, domain, x) -> SolverTrace:
 
 def _run_method(method: str, ctx: dict, cfg: ExperimentConfig,
                 seed: int) -> tuple[Array, SolverTrace]:
+    """Run one of ``_expand_methods(cfg)`` on a cell."""
+    runs = {name: step for name, _, step in _method_runs(cfg)}
+    if method not in runs:
+        raise ValueError(f"unknown method {method!r}")
     handle = ctx["handle"]
     if method == "frank_wolfe":
         return frank_wolfe_variant(handle, ctx["polytope"], FWConfig(K=cfg.K))
@@ -354,22 +346,27 @@ def _run_method(method: str, ctx: dict, cfg: ExperimentConfig,
     if method == "single_greedy":
         x, v = single_greedy(handle, ctx["box"], mode=ctx["mode"])
         return x, _single_row_trace(v, ctx["box"], x)
-    if method.startswith("proj_grad_step"):
-        _, step = _split_method(method)
-        domain = ctx["polytope"] if ctx["polytope"].num_rows else ctx["box"]
-        x, _, trace = proj_grad_ascent(handle, domain, step, cfg.K)
-        return x, trace
-    raise ValueError(f"unknown method {method!r}")
+    # the rest are the proj_grad runs, each with its own step
+    domain = ctx["polytope"] if ctx["polytope"].num_rows else ctx["box"]
+    x, _, trace = proj_grad_ascent(handle, domain, runs[method], cfg.K)
+    return x, trace
 
 
-def _expand_methods(cfg: ExperimentConfig) -> list[str]:
+def _method_runs(cfg: ExperimentConfig) -> list[tuple[str, str, float | None]]:
+    """(output name, method, step) of each run in a cell, in order: a
+    ``proj_grad`` run per entry of ``cfg.steps``, named by the step, and one
+    run, with step None, of every other method."""
     out = []
     for m in cfg.resolved_methods():
         if m == "proj_grad":
-            out.extend(f"proj_grad_step{s:g}" for s in cfg.steps)
+            out.extend((f"proj_grad_step{s:g}", m, s) for s in cfg.steps)
         else:
-            out.append(m)
+            out.append((m, m, None))
     return out
+
+
+def _expand_methods(cfg: ExperimentConfig) -> list[str]:
+    return [name for name, _, _ in _method_runs(cfg)]
 
 
 def write_trace_csv(path: Path, trace: SolverTrace) -> None:
@@ -430,6 +427,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
+    runs = _method_runs(cfg)
     methods = _expand_methods(cfg)
     records: list[ResultRecord] = []
     summary: dict = {"experiment": cfg.experiment, "sweep": list(cfg.sweep),
@@ -443,11 +441,11 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
                 _, f_star = grid_brute_force(ctx["handle"], ctx["oracle_domain"],
                                              cfg.grid_points)
                 oracle.setdefault(f"{sweep:g}", {})[str(seed)] = f_star
-            for method in methods:
+            for method, base, _ in runs:
                 start = time.perf_counter()
                 x, trace = _run_method(method, ctx, cfg, seed)
                 elapsed = time.perf_counter() - start
-                dom = ctx[_METHOD_DOMAIN[_split_method(method)[0]]]
+                dom = ctx[_METHOD_DOMAIN[base]]
                 if feasibility_residual(dom, x) > 1e-6:
                     raise RuntimeError(f"{method} returned an infeasible point")
                 tpath = traces_dir / f"{method}__sweep{sweep:g}__seed{seed}.csv"

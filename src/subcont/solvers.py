@@ -2,10 +2,10 @@
 
 ``frank_wolfe_variant`` is a conditional-gradient scheme for monotone
 objectives with diminishing returns over a down-closed polytope: it starts at
-the origin and *adds* gamma_k * v_k (no convex combination), accumulating a
-total step mass of exactly one.  With an exact linear oracle and constant
-stepsize 1/K it reaches (1 - 1/e) OPT - L/(2K) + f(0)/e, L being a curvature
-bound along nonnegative directions.
+the origin and *adds* v_k / K in each of K steps (no convex combination),
+accumulating a total step mass of exactly one.  With an exact linear oracle
+it reaches (1 - 1/e) OPT - L/(2K) + f(0)/e, L being a curvature bound along
+nonnegative directions.
 
 ``double_greedy`` maximizes a general (possibly non-monotone) submodular
 objective over a box by marching two solutions from the box corners toward
@@ -15,8 +15,9 @@ result is a 1/3 approximation when f(lower) + f(upper) >= 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,33 +34,19 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass
 class FWConfig:
-    """Conditional-gradient parameters.
-
-    Exactly one of ``gamma`` / ``K`` / ``schedule`` drives the stepsize:
-    a constant gamma in (0, 1], the budget K (gamma = 1/K), or an explicit
-    per-iteration schedule.  alpha and delta describe the multiplicative and
-    additive quality of an injected linear oracle (the built-in exact oracle
-    realizes alpha = 1, delta = 0).
+    """Conditional-gradient parameters: the iteration budget K, which fixes
+    the constant stepsize 1/K, and the multiplicative (alpha) and additive
+    (delta) quality of an injected linear oracle, which the certified upper
+    bound needs (the built-in exact oracle realizes alpha = 1, delta = 0).
     """
 
-    gamma: float | None = None
-    K: int | None = None
-    schedule: Sequence[float] | None = None
+    K: int
     alpha: float = 1.0
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.schedule is None:
-            if self.gamma is None:
-                if self.K is None:
-                    raise ValueError("provide gamma, K, or a schedule")
-                self.gamma = 1.0 / self.K
-            if not (0.0 < self.gamma <= 1.0):
-                raise ValueError("gamma must lie in (0, 1]")
-        else:
-            self.schedule = [float(g) for g in self.schedule]
-            if any(not (0.0 < g <= 1.0) for g in self.schedule):
-                raise ValueError("schedule entries must lie in (0, 1]")
+        if not isinstance(self.K, numbers.Integral) or self.K < 1:
+            raise ValueError(f"K must be a positive int, got {self.K!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
         if self.delta < 0:
@@ -85,8 +72,8 @@ def frank_wolfe_variant(
     cfg: FWConfig,
     oracle: Callable[[PolytopeDomain, Array], LPSolution] | None = None,
 ) -> tuple[Array, SolverTrace]:
-    """Run the conditional-gradient scheme from x = 0 until the cumulative
-    step reaches exactly 1; returns the final point and the full trace.
+    """Run K steps of the conditional-gradient scheme from x = 0, each of
+    stepsize 1/K; returns the final point and the full trace.
 
     The oracle defaults to the exact LP vertex solver; an approximate one may
     be injected for error-level experiments.  The oracle is called only when
@@ -94,12 +81,9 @@ def frank_wolfe_variant(
     gradient: with small stepsizes the gradient moves little and the optimal
     vertex seldom changes.  A solution without a stored basis (as an injected
     oracle may return) never passes, so such an oracle is called every
-    iteration.  Stepsizes are truncated to min(gamma_k, 1 - t), so the run
-    ends on t = 1 without overshoot.  A constant stepsize gamma makes exactly
-    ceil(1/gamma) steps (K steps for gamma = 1/K), the last one setting t to
-    1 however the float sum of the earlier ones rounded.  An explicit schedule
-    runs until t reaches 1; when it runs out first it ends there if t is
-    within 1e-9 of 1 and raises ``SolverAbort`` otherwise.
+    iteration.  Each step is min(1/K, 1 - t) for the running sum t of the
+    earlier ones, and the last step sets t to 1 however that float sum
+    rounded, so the run ends on t = 1 without overshoot.
 
     ``trace.meta["opt_upper_bound"]`` is the certified upper bound
     ``min_k f(x_k) + (<grad f(x_k), v_k> + delta) / alpha`` on the optimum:
@@ -113,16 +97,15 @@ def frank_wolfe_variant(
     if f.dimension != P.dimension:
         raise ValueError("objective and polytope dimensions differ")
     oracle = linear_maximize if oracle is None else oracle
-    counted = cfg.schedule is None
-    steps = [cfg.gamma] * math.ceil(1.0 / cfg.gamma - 1e-9) if counted else cfg.schedule
+    gamma = 1.0 / cfg.K
     x = np.zeros(P.dimension)
     t = 0.0
     sol = None
     upper_bound = np.inf
-    trace = SolverTrace(meta={"algorithm": "frank_wolfe", "gamma": cfg.gamma,
+    trace = SolverTrace(meta={"algorithm": "frank_wolfe", "gamma": gamma,
                               "alpha": cfg.alpha, "delta": cfg.delta})
     trace.append(0, 0.0, f.value(x), feasibility_residual(P, x))
-    for k, gamma_k in enumerate(steps):
+    for k in range(cfg.K):
         try:
             grad = as_point(f.gradient(x), P.dimension)
         except ValueError as e:
@@ -133,16 +116,10 @@ def frank_wolfe_variant(
         # a kept solution's objective belongs to an earlier gradient
         upper_bound = min(upper_bound, trace.records[-1].objective
                           + (float(grad @ sol.point) + cfg.delta) / cfg.alpha)
-        final_step = gamma_k >= 1.0 - t or (counted and k == len(steps) - 1)
-        gamma_k = min(gamma_k, 1.0 - t)
-        x = x + gamma_k * sol.point
-        t = 1.0 if final_step else t + gamma_k
+        step = min(gamma, 1.0 - t)
+        x = x + step * sol.point
+        t = 1.0 if k == cfg.K - 1 else t + step
         trace.append(k + 1, t, f.value(x), feasibility_residual(P, x))
-        if t >= 1.0:
-            break
-    else:
-        if 1.0 - t > 1e-9:   # else the schedule summed to 1 up to rounding
-            raise SolverAbort("stepsize schedule exhausted before t reached 1", trace)
     trace.meta["opt_upper_bound"] = upper_bound
     return x, trace
 
@@ -288,26 +265,15 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
 
 @dataclass
 class DGConfig:
-    """Double-greedy parameters: coordinate order (an explicit permutation, or
-    a seed for a random one, or natural order when neither is given), the
-    bracket tolerance for the searching modes, and the 1-D subproblem mode.
-    The additive 1-D error a run actually incurs is not a parameter: it is
-    measured and recorded as the traces' ``meta["max_gap_bound"]``."""
+    """Double-greedy parameters: the seed of a random coordinate order
+    (natural order when it is None), the bracket tolerance for the searching
+    modes, and the 1-D subproblem mode.  The additive 1-D error a run
+    actually incurs is not a parameter: it is measured and recorded as the
+    traces' ``meta["max_gap_bound"]``."""
 
-    order: Sequence[int] | None = None
     seed: int | None = None
     mode: str = CONCAVE_MODE
     tol: float = 1e-10
-
-    def resolve_order(self, n: int) -> list[int]:
-        if self.order is not None:
-            order = [int(i) for i in self.order]
-            if sorted(order) != list(range(n)):
-                raise ValueError("order must be a permutation of the coordinates")
-            return order
-        if self.seed is not None:
-            return np.random.default_rng(self.seed).permutation(n).tolist()
-        return list(range(n))
 
 
 def double_greedy(f: ObjectiveHandle, box: BoxDomain,
@@ -336,7 +302,8 @@ def double_greedy(f: ObjectiveHandle, box: BoxDomain,
     fy = f.value(y)
     if fx + fy < -1e-9:
         raise ValueError("f(lower) + f(upper) must be nonnegative")
-    order = cfg.resolve_order(n)
+    order = list(range(n)) if cfg.seed is None else \
+        np.random.default_rng(cfg.seed).permutation(n).tolist()
     meta = {"algorithm": "double_greedy", "mode": cfg.mode, "order": list(order)}
     trace_x = SolverTrace(meta=dict(meta))
     trace_y = SolverTrace(meta=dict(meta))

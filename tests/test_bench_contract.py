@@ -7,6 +7,7 @@ benchmark runs."""
 from pathlib import Path
 
 from subcont import ExperimentConfig, PolytopeDomain, baselines, core, geometry, run_experiment
+from subcont.harness import _expand_methods
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -28,6 +29,30 @@ def test_benchmark_tracer_patches_and_counts_the_package(tmp_path, monkeypatch):
     # the chain's fixed schedule: burn-in 50 n, then k samples n steps apart
     assert counts["har_steps"] == calls["geometry.har"] * (50 * 3 + 10 * 3)
     assert baselines.eval_batch is core.eval_batch   # the originals are back
+
+
+def test_tracer_captures_every_expanded_method_of_every_cell(tmp_path, monkeypatch):
+    # the benchmark counts operations as _expand_methods(cfg) per cell and
+    # captures them through _run_method(method, ctx, cfg, seed)
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Recorder
+
+    rec = Recorder(True)
+    cfg = ExperimentConfig(experiment="nonmonotone_nqp", n=3, seeds=[0, 1], sweep=[0.5, 1.0],
+                           K=5, k_s=10, methods=["double_greedy", "proj_grad", "random_cube"],
+                           steps=[1e-3, 1e-2], output_dir=str(tmp_path))
+    with rec.installed():
+        run_experiment(cfg)
+    cells: dict[int, list] = {}
+    for r in rec.records:
+        cells.setdefault(id(r["ctx"]), []).append(r)
+    expected = _expand_methods(cfg)
+    assert expected == ["double_greedy", "proj_grad_step0.001", "proj_grad_step0.01",
+                        "random_cube"]
+    assert len(cells) == 4
+    for cell in cells.values():
+        assert [r["method"] for r in cell] == expected
+        assert [r["trace"].meta.get("step") for r in cell] == [None, 1e-3, 1e-2, None]
 
 
 def test_tracer_counts_the_steps_the_chain_makes(monkeypatch):

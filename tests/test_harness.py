@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from subcont import (BoxDomain, ExperimentConfig, ObjectiveHandle, PolytopeDomain,
-                     QuadraticInstance, grid_brute_force, load_bipartite_tsv,
-                     read_trace_csv, run_experiment)
+                     QuadraticInstance, gen_nonmonotone_nqp, grid_brute_force,
+                     load_bipartite_tsv, proj_grad_ascent, read_trace_csv, run_experiment)
 from subcont.harness import TRACE_HEADER, _write_json
 from subcont.zoo import BipartiteInfluenceInstance, RevenueInstance
 
@@ -318,6 +318,10 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(experiment="monotone_nqp", seeds=[]).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="monotone_nqp", methods=["warp_drive"]).validate()
+    with pytest.raises(ValueError, match="at least one method"):
+        ExperimentConfig(experiment="revenue", methods=[]).validate()
+    with pytest.raises(ValueError, match="positive int, got 2.5"):
+        ExperimentConfig(experiment="monotone_nqp", K=2.5).validate()
     with pytest.raises(ValueError, match="choose from"):
         ExperimentConfig(experiment="property_check").validate()
     with pytest.raises(ValueError):
@@ -345,10 +349,12 @@ def test_validate_rejects_output_name_collisions(tmp_path):
 
 def test_validate_rejects_bad_proj_grad_steps(tmp_path):
     bad = [
-        (dict(methods=["double_greedy", "proj_grad_stepfoo"]), "'proj_grad_stepfoo'"),
-        (dict(methods=["proj_grad_step0"]), "not a finite positive"),
-        (dict(methods=["proj_grad_stepnan"]), "not a finite positive"),
-        (dict(methods=["proj_grad_step"]), "not a finite positive"),
+        (dict(methods=["double_greedy", "proj_grad_stepfoo"]),
+         "unknown method 'proj_grad_stepfoo'"),
+        (dict(methods=["proj_grad_step0.01"]), "unknown method"),
+        (dict(methods=["proj_grad_step0"]), "unknown method"),
+        (dict(methods=["proj_grad_stepnan"]), "unknown method"),
+        (dict(methods=["proj_grad_step"]), "unknown method"),
         (dict(methods=["frank_wolfe_step0.1"]), "unknown method"),
         (dict(methods=["proj_grad"], steps=[-0.5]), "finite and positive"),
         (dict(methods=["proj_grad"], steps=[float("inf")]), "finite and positive"),
@@ -359,10 +365,22 @@ def test_validate_rejects_bad_proj_grad_steps(tmp_path):
         with pytest.raises(ValueError, match=message):
             run_experiment(cfg)
         assert not Path(cfg.output_dir).exists()
-    # without proj_grad an empty step list is fine, and a named step runs as named
+    # without proj_grad an empty step list is fine, and each step runs named by it
     _tiny_cfg(tmp_path, steps=[]).validate()
-    records = run_experiment(_tiny_cfg(tmp_path, methods=["proj_grad_step0.01"]))
+    records = run_experiment(_tiny_cfg(tmp_path, methods=["proj_grad"], steps=[0.01]))
     assert [r.method for r in records] == ["proj_grad_step0.01"] * 2
+
+
+def test_proj_grad_runs_the_configured_step_unrounded(tmp_path):
+    # the run's name prints the step to six digits; the run itself must use
+    # the step as configured
+    step = 0.0012345678
+    cfg = _tiny_cfg(tmp_path, methods=["proj_grad"], steps=[step], seeds=[0])
+    (record,) = run_experiment(cfg)
+    assert record.method == "proj_grad_step0.00123457"
+    inst, box = gen_nonmonotone_nqp(3, 0, u_scale=1.0)
+    _, value, _ = proj_grad_ascent(inst.handle(box), box, step, cfg.K)
+    assert record.final_value == value
 
 
 def test_read_trace_csv_errors_are_located(tmp_path):

@@ -23,16 +23,17 @@ def _box_polytope(n, upper=1.0):
 def test_fw_modular_on_box_reaches_optimum_in_four_steps():
     inst = QuadraticInstance(np.zeros((2, 2)), [1.0, 1.0])
     P = _box_polytope(2)
-    x, trace = frank_wolfe_variant(inst.handle(P.box()), P, FWConfig(gamma=0.25))
+    x, trace = frank_wolfe_variant(inst.handle(P.box()), P, FWConfig(K=4))
     assert np.array_equal(x, [1.0, 1.0])
     assert trace.final_objective == pytest.approx(2.0)
     assert len(trace) == 5                # initial row + four iterations
     assert trace.records[-1].t == 1.0
+    assert trace.meta["gamma"] == 0.25
 
 
 def test_fw_gamma_one_is_a_single_oracle_step():
     inst, P = gen_monotone_nqp(3, 1, seed=0)
-    x, trace = frank_wolfe_variant(inst.handle(P.box()), P, FWConfig(gamma=1.0))
+    x, trace = frank_wolfe_variant(inst.handle(P.box()), P, FWConfig(K=1))
     assert len(trace) == 2
     from subcont import linear_maximize
     v = linear_maximize(P, inst.gradient(np.zeros(3))).point
@@ -87,36 +88,13 @@ def test_fw_approximation_bound_against_grid_oracle():
         assert trace.final_objective >= (1 - 1 / np.e) * f_star - L / (2 * K) - 1e-6
 
 
-def test_fw_bound_holds_for_nonconstant_schedules():
-    # the guarantee for arbitrary stepsizes uses the sum of squared steps
-    schedule = [0.5, 0.2, 0.2, 0.1]
-    for seed in range(3):
-        inst, P = gen_monotone_nqp(3, 1, seed=10 + seed)
-        handle = inst.handle(P.box())
-        _, trace = frank_wolfe_variant(handle, P, FWConfig(schedule=schedule))
-        _, f_star = grid_brute_force(handle, P, 101)
-        L = largest_abs_eigenvalue(inst.H)
-        gammas = np.diff([r.t for r in trace.records])
-        bound = (1 - 1 / np.e) * f_star - 0.5 * L * float((gammas ** 2).sum()) - 1e-6
-        assert trace.final_objective >= bound
-
-
-def test_fw_explicit_schedule_and_exhaustion():
-    inst, P = gen_monotone_nqp(2, 1, seed=1)
-    handle = inst.handle(P.box())
-    x, trace = frank_wolfe_variant(handle, P, FWConfig(schedule=[0.5, 0.25, 0.25]))
-    assert trace.records[-1].t == 1.0
-    with pytest.raises(SolverAbort):
-        frank_wolfe_variant(handle, P, FWConfig(schedule=[0.25, 0.25]))
-
-
 def _without_basis(sol):
     return LPSolution(sol.point, sol.objective, sol.basis)
 
 
 def test_fw_schedule_summing_to_one_by_rounding_calls_the_oracle_once_per_step():
-    # ten steps of 0.1 sum to 0.9999999999999999: the run must stop on the
-    # exhausted schedule before computing an eleventh gradient and LP
+    # ten steps of 0.1 sum to 0.9999999999999999: the run must still stop
+    # after ten steps, before computing an eleventh gradient and LP
     inst, P = gen_monotone_nqp(3, 1, seed=2)
     calls = {"gradient": 0, "oracle": 0}
 
@@ -129,7 +107,7 @@ def test_fw_schedule_summing_to_one_by_rounding_calls_the_oracle_once_per_step()
         return _without_basis(linear_maximize(P, c))
 
     handle = dataclasses.replace(inst.handle(P.box()), gradient=grad)
-    _, trace = frank_wolfe_variant(handle, P, FWConfig(schedule=[0.1] * 10), oracle=oracle)
+    _, trace = frank_wolfe_variant(handle, P, FWConfig(K=10), oracle=oracle)
     assert len(trace) == 11
     assert calls == {"gradient": 10, "oracle": 10}
 
@@ -196,7 +174,7 @@ def test_fw_aborts_with_partial_trace_on_gradient_failure():
     h = scalar_handle(2, value, gradient=grad, monotone=True, submodular=True,
                       dr_submodular=True, differentiable=True)
     with pytest.raises(SolverAbort) as exc:
-        frank_wolfe_variant(h, _box_polytope(2), FWConfig(gamma=0.25))
+        frank_wolfe_variant(h, _box_polytope(2), FWConfig(K=4))
     assert len(exc.value.trace) >= 1
 
 
@@ -260,15 +238,15 @@ def test_dg_degraded_bound_with_inexact_search():
 
 
 def test_fw_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         FWConfig()
+    for K in (0, -3, 0.5, 2.0):
+        with pytest.raises(ValueError, match="positive int"):
+            FWConfig(K=K)
     with pytest.raises(ValueError):
-        FWConfig(gamma=1.5)
+        FWConfig(K=2, alpha=0.0)
     with pytest.raises(ValueError):
-        FWConfig(gamma=0.5, alpha=0.0)
-    with pytest.raises(ValueError):
-        FWConfig(gamma=0.5, delta=-1.0)
-    assert FWConfig(K=50).gamma == pytest.approx(0.02)
+        FWConfig(K=2, delta=-1.0)
 
 
 # ------------------------------------------------------------------ double greedy
@@ -307,11 +285,11 @@ def test_dg_intermediate_ordering_invariant():
     # x^k <= y^k throughout: re-run the loop manually via trace reconstruction
     inst, box = gen_nonmonotone_nqp(5, seed=2)
     handle = inst.handle(box)
-    cfg = DGConfig(order=list(range(5)), mode=QUADRATIC_MODE)
+    cfg = DGConfig(mode=QUADRATIC_MODE)   # no seed: natural order
     x = box.lower.copy()
     y = box.upper.copy()
     fx, fy = handle.value(x), handle.value(y)
-    for j in cfg.resolve_order(5):
+    for j in range(5):
         # the same stacked call as double_greedy makes, one row per particle
         (za, va, _), (zb, vb, _) = maximize_1d(handle, (x, y), j, box.lower[j],
                                                box.upper[j], QUADRATIC_MODE)
@@ -379,8 +357,6 @@ def test_dg_abort_carries_both_particle_traces():
 def test_dg_order_validation_and_random_order():
     inst, box = gen_nonmonotone_nqp(4, seed=0)
     h = inst.handle(box)
-    with pytest.raises(ValueError):
-        double_greedy(h, box, DGConfig(order=[0, 1, 1, 2], mode=QUADRATIC_MODE))
     a, _, _ = double_greedy(h, box, DGConfig(seed=3, mode=QUADRATIC_MODE))
     b, _, _ = double_greedy(h, box, DGConfig(seed=3, mode=QUADRATIC_MODE))
     assert np.array_equal(a, b)
