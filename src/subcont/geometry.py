@@ -13,6 +13,7 @@ hit-and-run sampler takes each chord from one ratio vector over all
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -252,13 +253,22 @@ def project_polytope(P: PolytopeDomain, x, tol: float = 1e-9,
         f"residual {feasibility_residual(P, x_cur):.3e}")
 
 
-def _pads(den):
-    """Masks of the ratio test as additive pads: ``pad_hi`` is 0 where a
-    constraint caps theta from above (den > 1e-13) and +inf elsewhere,
-    ``pad_lo`` is 0 where it caps theta from below (den < -1e-13) and -inf
-    elsewhere.  Works row-wise on a stack of denominators."""
-    return (np.where(den > 1e-13, 0.0, np.inf),
-            np.where(den < -1e-13, 0.0, -np.inf))
+_INF_BITS = np.array(np.inf).view(np.int64)        # bit pattern of +inf
+_NEG_INF_BITS = np.array(-np.inf).view(np.int64)   # bit pattern of -inf
+
+
+def _pads(den, pad_hi, pad_lo, mask):
+    """Masks of the ratio test as additive pads, written into ``pad_hi`` and
+    ``pad_lo``: ``pad_hi`` is 0 where a constraint caps theta from above
+    (den > 1e-13) and +inf elsewhere, ``pad_lo`` is 0 where it caps theta
+    from below (den < -1e-13) and -inf elsewhere.  Each pad is the 0/1 mask
+    times the int64 bit pattern of +-inf, written through an int64 view; the
+    bool ``mask`` is a work buffer.  Works row-wise on a stack of
+    denominators."""
+    np.less_equal(den, 1e-13, out=mask)
+    np.multiply(mask, _INF_BITS, out=pad_hi.view(np.int64))
+    np.greater_equal(den, -1e-13, out=mask)
+    np.multiply(mask, _NEG_INF_BITS, out=pad_lo.view(np.int64))
 
 
 def _chord(num, den, pad_hi, pad_lo, ratio, padded):
@@ -270,8 +280,8 @@ def _chord(num, den, pad_hi, pad_lo, ratio, padded):
     ``ratio`` and ``padded`` are work buffers, overwritten on each call.
     """
     np.divide(num, den, out=ratio)
-    hi = np.fmin.reduce(np.add(ratio, pad_hi, out=padded))
-    lo = np.fmax.reduce(np.add(ratio, pad_lo, out=padded))
+    hi = float(np.fmin.reduce(np.add(ratio, pad_hi, out=padded)))
+    lo = float(np.fmax.reduce(np.add(ratio, pad_lo, out=padded)))
     return lo, hi
 
 
@@ -285,24 +295,31 @@ def _flip_inward(x, d, upper):
     return np.where(x >= upper - 1e-12, -np.abs(d), d)
 
 
+_CHUNK = 256   # steps whose randomness, denominators and pads are built at once
+
+
 def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
     """k approximately-uniform samples from P, returned as rows.
 
     The chain starts at the origin (feasible since b >= 0), discards a burn-in
     of 50 n steps and then keeps one state every n steps, so it runs
-    ``50 n + k n`` steps in all.  Each step's chord comes from one ratio test
-    over the ``2n + m`` constraints: numerators ``[upper - x, b - A x, x]``
-    against denominators ``[d, A d, -d]``; ``A x`` is carried along
-    incrementally and recomputed every 16384 steps against drift.  A
-    degenerate chord is retried once with the direction flipped inward on
-    tight box coordinates; if still degenerate the chain stays put for that
-    step (a lazy move, so the uniform target is unchanged).  The randomness is
-    drawn 256 steps at a time from two child streams of ``seed``, and each
-    such chunk's denominators and pads are built at once; deterministic for a
-    fixed seed.
+    ``50 n + k n`` steps in all.  The state is one vector ``z = [x, A x, -x]``
+    against ``top = [upper, b, 0]``, so each step's chord comes from one ratio
+    test over the ``2n + m`` constraints: numerators ``top - z`` against
+    denominators ``[d, A d, -d]``.  A move adds ``theta`` times the whole
+    denominator to ``z`` and clips it against ``[0, -inf, -upper]`` and
+    ``[upper, +inf, 0]``; negation is exact, so the last block stays ``-x``.
+    ``A x`` is carried along incrementally and recomputed every 16384 steps
+    against drift.  A degenerate chord is retried once with the direction
+    flipped inward on tight box coordinates; if still degenerate the chain
+    stays put for that step (a lazy move, so the uniform target is
+    unchanged).  The randomness is drawn 256 steps at a time from two child
+    streams of ``seed``, and each such chunk's denominators and pads are
+    built at once, in buffers allocated once per chain (the pads from the
+    bit patterns of +-inf, see ``_pads``); deterministic for a fixed seed.
     """
-    if k < 1:
-        raise ValueError("need k >= 1 samples")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"need a positive integer number of samples k, got {k!r}")
     n, m = P.dimension, P.num_rows
     burn_in = 50 * n
     thin = max(1, n)
@@ -311,47 +328,57 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
     rng_dirs = np.random.default_rng([seed, 0])
     rng_unif = np.random.default_rng([seed, 1])
     A, upper = P.A, P.upper
-    z = np.zeros(n + m)   # the state [x, A x], updated in place
-    x, Ax = z[:n], z[n:]
-    zero = np.zeros(n)
-    top = np.concatenate([upper, P.b])
-    num = np.empty(2 * n + m)
-    ratio = np.empty(2 * n + m)
-    padded = np.empty(2 * n + m)
+    width = 2 * n + m
+    z = np.zeros(width)   # the state [x, A x, -x], updated in place
+    x, Ax = z[:n], z[n:n + m]
+    top = np.concatenate([upper, P.b, np.zeros(n)])
+    floor = np.concatenate([np.zeros(n), np.full(m, -np.inf), -upper])
+    ceil = np.concatenate([upper, np.full(m, np.inf), np.zeros(n)])
+    num, ratio, padded, move = (np.empty(width) for _ in range(4))
+    dirs_buf = np.empty((_CHUNK, n))
+    dens_buf, pad_hi_buf, pad_lo_buf = (np.empty((_CHUNK, width)) for _ in range(3))
+    mask_buf = np.empty((_CHUNK, width), dtype=bool)
     samples = np.empty((k, n))
     total = burn_in + k * thin
     emitted = 0
     step = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while step < total:
-            c = min(256, total - step)
-            dirs = rng_dirs.standard_normal((c, n))
-            unif = rng_unif.random(c)
-            dens = np.hstack([dirs, dirs @ A.T, -dirs])
-            pads_hi, pads_lo = _pads(dens)
+            c = min(_CHUNK, total - step)
+            dirs, dens = dirs_buf[:c], dens_buf[:c]
+            pad_hi, pad_lo = pad_hi_buf[:c], pad_lo_buf[:c]
+            rng_dirs.standard_normal(out=dirs)
+            unif = rng_unif.random(c).tolist()
+            dens[:, :n] = dirs
+            np.matmul(dirs, A.T, out=dens[:, n:n + m])
+            np.negative(dirs, out=dens[:, n + m:])
+            _pads(dens, pad_hi, pad_lo, mask_buf[:c])
             for i in range(c):
                 den = dens[i]
-                np.subtract(top, z, out=num[:n + m])
-                num[n + m:] = x
-                lo, hi = _chord(num, den, pads_hi[i], pads_lo[i], ratio, padded)
+                np.subtract(top, z, out=num)
+                lo, hi = _chord(num, den, pad_hi[i], pad_lo[i], ratio, padded)
                 if not hi - lo > 1e-12:
                     d = _flip_inward(x, dirs[i], upper)
-                    # A d as running row sums, in fixed left-to-right order:
-                    # the chain is chaotic, so a last-bit change in one
-                    # retry's A d grows over the following steps.  BLAS
-                    # A @ d sums in another order; on gen_monotone_nqp(100,
-                    # 50, s), s = 0..4, k = 1000, it moved the samples by up
-                    # to 0.13 per coordinate and best-of-k values by up to
-                    # 0.75%.  This order keeps a seed's samples identical to
-                    # those of earlier releases.
-                    Ad = np.cumsum(A * d, axis=1)[:, -1]
-                    den = np.concatenate([d, Ad, -d])
-                    lo, hi = _chord(num, den, *_pads(den), ratio, padded)
+                    # the retry overwrites row i of the chunk, which this
+                    # step has used.  A d as running row sums, in fixed
+                    # left-to-right order: the chain is chaotic, so a
+                    # last-bit change in one retry's A d grows over the
+                    # following steps.  BLAS A @ d sums in another order; on
+                    # gen_monotone_nqp(100, 50, s), s = 0..4, k = 1000, it
+                    # moved the samples by up to 0.13 per coordinate and
+                    # best-of-k values by up to 0.75%.  This order keeps a
+                    # seed's samples identical to those of earlier releases.
+                    den[:n] = d
+                    den[n:n + m] = np.cumsum(A * d, axis=1)[:, -1]
+                    np.negative(d, out=den[n + m:])
+                    _pads(den, pad_hi[i], pad_lo[i], mask_buf[i])
+                    lo, hi = _chord(num, den, pad_hi[i], pad_lo[i], ratio, padded)
                 if hi - lo > 1e-12:
-                    z += (lo + unif[i] * (hi - lo)) * den[:n + m]
+                    np.multiply(den, lo + unif[i] * (hi - lo), out=move)
+                    z += move
                     # clip into the box; np.clip costs more per call than both
-                    np.maximum(x, zero, out=x)
-                    np.minimum(x, upper, out=x)
+                    np.maximum(z, floor, out=z)
+                    np.minimum(z, ceil, out=z)
                 step += 1
                 if step > burn_in and (step - burn_in) % thin == 0:
                     samples[emitted] = x

@@ -77,8 +77,8 @@ class ExperimentConfig:
         _reject_collisions("seeds", self.seeds, str)
         if not isinstance(self.K, numbers.Integral) or self.K < 1:
             raise ValueError(f"iteration budget K must be a positive int, got {self.K!r}")
-        if self.k_s < 1:
-            raise ValueError("k_s must be positive")
+        if not isinstance(self.k_s, numbers.Integral) or self.k_s < 1:
+            raise ValueError(f"sample count k_s must be a positive int, got {self.k_s!r}")
         if not self.sweep or not all(math.isfinite(s) and s > 0 for s in self.sweep):
             raise ValueError("sweep values must be finite and positive")
         _reject_collisions("sweep values", self.sweep, lambda s: f"{s:g}")

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -279,9 +280,35 @@ def test_hit_and_run_prefix_across_blocks():
     assert all(contains(P, row, 1e-9) for row in long_run)
 
 
+# sha256 of samples.tobytes(), recorded before the chain kept its state as
+# one vector [x, Ax, -x] in preallocated chunk buffers: the rewrite must leave
+# every sample bit for bit as it was.  Each chunk's A d comes from one BLAS
+# matrix product, so the digests hold for one BLAS build; the n = 100 one,
+# with its 100-term sums, is the one most likely to move on another.
+_HAR_DIGESTS = [
+    (lambda: gen_monotone_nqp(100, 50, 0)[1], 50, 0,
+     "ca7d801894f76b528e8c05dbd312361c9531bd3c5c38d23bd929ae1fca74cc41"),
+    (lambda: PolytopeDomain([[1.0, 1.0, 0.5]], [1.0], [1.0, 0.0, 2.0]), 10, 0,
+     "2dfba633817046c7f559ed4b93076048435f7e1a90f14eb8035c04b9ebae2537"),
+    (lambda: PolytopeDomain(np.zeros((0, 1)), np.zeros(0), [1.0]), 100, 0,
+     "dac15d9059bae76d3c4af6859b31871167726416189098af20c5f717d291e198"),
+    (lambda: PolytopeDomain([[1.0, 2.0]], [1.5], [1.0, 1.0]), 9000, 7,
+     "f2d7e642a720de6b0cb4c7130d67916c490cf0a8c085d7df27e654faa4e66242"),
+]
+
+
+@pytest.mark.parametrize("make, k, seed, digest", _HAR_DIGESTS,
+                         ids=["nqp100x50", "retry", "interval", "resync"])
+def test_hit_and_run_samples_are_pinned(make, k, seed, digest):
+    samples = hit_and_run(make(), k, seed)
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
+
 def test_hit_and_run_rejects_bad_k():
     with pytest.raises(ValueError):
         hit_and_run(SIMPLEX, 0, seed=0)
+    with pytest.raises(ValueError, match="samples k, got 2.5"):
+        hit_and_run(SIMPLEX, 2.5, seed=0)
 
 
 def test_hit_and_run_on_pinned_polytope_stays_at_origin():
@@ -292,17 +319,25 @@ def test_hit_and_run_on_pinned_polytope_stays_at_origin():
     assert np.array_equal(s, np.zeros((10, 2)))
 
 
-def test_hit_and_run_peak_memory_is_one_chunk_of_draws():
-    # draws, denominators and pads are held 256 steps at a time; drawing
-    # 16384 steps at once peaked at about 22 MiB here (n = 100, m = 50)
-    P = gen_monotone_nqp(100, 50, 0)[1]
+def _har_peak(P, k):
     tracemalloc.start()
     try:
-        hit_and_run(P, 200, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        hit_and_run(P, k, 0)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+
+
+def test_hit_and_run_peak_memory_is_one_chunk_of_draws():
+    # the chunk buffers (draws, denominators, pads) are allocated once per
+    # chain, 256 steps deep; drawing 16384 steps at once peaked at about
+    # 22 MiB here (n = 100, m = 50), fresh buffers for every chunk at 3.4 MiB
+    P = gen_monotone_nqp(100, 50, 0)[1]
+    small, large = _har_peak(P, 200), _har_peak(P, 2000)
+    assert small < 3 * 2 ** 20
+    # ten times the chain adds only the larger samples array: no step or
+    # chunk allocates memory that outlives it
+    assert large - small <= 2000 * 100 * 8 + 2 ** 19
 
 
 # ------------------------------------------------------------- ratio shrink

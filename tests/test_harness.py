@@ -322,6 +322,12 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(experiment="revenue", methods=[]).validate()
     with pytest.raises(ValueError, match="positive int, got 2.5"):
         ExperimentConfig(experiment="monotone_nqp", K=2.5).validate()
+    # k_s sizes the hit-and-run sample array: a float must fail here, before
+    # any method of the sweep runs
+    with pytest.raises(ValueError, match="k_s must be a positive int, got 2.5"):
+        ExperimentConfig(experiment="monotone_nqp", k_s=2.5).validate()
+    with pytest.raises(ValueError, match="k_s must be a positive int, got 0"):
+        ExperimentConfig(experiment="monotone_nqp", k_s=0).validate()
     with pytest.raises(ValueError, match="choose from"):
         ExperimentConfig(experiment="property_check").validate()
     with pytest.raises(ValueError):
