@@ -70,15 +70,14 @@ class ExperimentConfig:
         if self.experiment not in _DEFAULT_METHODS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {list(_DEFAULT_METHODS)}")
-        if self.n < 1 or (self.experiment == "monotone_nqp" and self.m < 1):
-            raise ValueError("instance sizes must be positive")
+        _check_positive_int("instance size n", self.n)
+        _check_positive_int("constraint count m", self.m)
+        _check_positive_int("grid_points", self.grid_points)
         if not self.seeds:
             raise ValueError("need at least one seed")
         _reject_collisions("seeds", self.seeds, str)
-        if not isinstance(self.K, numbers.Integral) or self.K < 1:
-            raise ValueError(f"iteration budget K must be a positive int, got {self.K!r}")
-        if not isinstance(self.k_s, numbers.Integral) or self.k_s < 1:
-            raise ValueError(f"sample count k_s must be a positive int, got {self.k_s!r}")
+        _check_positive_int("iteration budget K", self.K)
+        _check_positive_int("sample count k_s", self.k_s)
         if not self.sweep or not all(math.isfinite(s) and s > 0 for s in self.sweep):
             raise ValueError("sweep values must be finite and positive")
         _reject_collisions("sweep values", self.sweep, lambda s: f"{s:g}")
@@ -104,6 +103,11 @@ class ExperimentConfig:
     def resolved_methods(self) -> list[str]:
         return list(self.methods) if self.methods is not None \
             else list(_DEFAULT_METHODS[self.experiment])
+
+
+def _check_positive_int(what: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be a positive int, got {value!r}")
 
 
 def _reject_collisions(what: str, values, name) -> None:
@@ -212,16 +216,20 @@ def load_bipartite_tsv(path, alpha: float = 1.0, beta: float = 1.0,
 
 
 def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
-                     chunk: int = 200_000) -> tuple[Array, float]:
+                     chunk: int = 2 ** 14) -> tuple[Array, float]:
     """Exhaustive scan of a uniform grid over the domain's box, restricted to
     feasible points for polytopes.  The returned value never exceeds the true
     maximum, so it is safe on the lower side of approximation-bound checks.
 
     Points are visited in row-major order (the last coordinate varies
     fastest), and the earliest maximiser in that order wins ties.  ``chunk``
-    bounds the rows per objective evaluation: the grid of the trailing axes
-    that fits in ``chunk`` rows is laid out once, and each combination of the
-    remaining leading coordinates is written into it and evaluated.
+    bounds the rows per objective evaluation.  A run is the grid of the
+    trailing axes that fits in ``chunk`` rows; each block holds as many whole
+    runs as fit, one per consecutive value of the axis before them, and is
+    laid out once and refilled in place.  The default of ``2**14`` rows keeps
+    a block and its ``value_batch`` temporaries small enough that the
+    allocator reuses their pages: a 21^4 grid in one 194,481-row block took
+    about 1,350 minor page faults on every call.
     """
     if isinstance(domain, BoxDomain):
         lo, hi = domain.lower, domain.upper
@@ -232,37 +240,41 @@ def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
     else:
         raise TypeError("domain must be a BoxDomain or PolytopeDomain")
     n = lo.shape[0]
-    if points_per_dim < 1:
-        raise ValueError("points_per_dim must be positive")
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
+    _check_positive_int("points_per_dim", points_per_dim)
+    _check_positive_int("chunk", chunk)
     if n > 6 or points_per_dim ** n > 1e8:
         raise ValueError("grid oracle guard: needs n <= 6 and points_per_dim^n <= 1e8")
     axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(n)]
-    lead = 0
+    lead = 1
     while points_per_dim ** (n - lead) > chunk:
         lead += 1
-    block = np.empty((points_per_dim,) * (n - lead) + (n,))
+    t = points_per_dim ** (n - lead)
+    runs = min(points_per_dim, chunk // t)
+    block = np.empty((runs,) + (points_per_dim,) * (n - lead) + (n,))
     for i in range(lead, n):
-        shape = [1] * (n - lead)
-        shape[i - lead] = points_per_dim
+        shape = [1] * (n - lead + 1)
+        shape[i - lead + 1] = points_per_dim
         block[..., i] = axes[i].reshape(shape)
-    block = block.reshape(-1, n)
+    rows = block.reshape(-1, n)
     best_val = -np.inf
     best_x = None
-    for head in itertools.product(*axes[:lead]):
-        block[:, :lead] = head
-        X = block
-        if P is not None and P.num_rows:
-            mask = np.all(X @ P.A.T <= P.b + 1e-12, axis=1)
-            if not mask.any():
-                continue
-            X = X[mask]
-        vals = eval_batch(f, X)
-        i_best = int(np.argmax(vals))
-        if vals[i_best] > best_val:
-            best_val = float(vals[i_best])
-            best_x = X[i_best].copy()
+    for head in itertools.product(*axes[:lead - 1]):
+        rows[:, :lead - 1] = head
+        for j in range(0, points_per_dim, runs):
+            run_values = axes[lead - 1][j:j + runs]
+            k = run_values.shape[0]
+            block[:k, ..., lead - 1] = run_values.reshape((k,) + (1,) * (n - lead))
+            X = rows[:k * t]
+            if P is not None and P.num_rows:
+                mask = np.all(X @ P.A.T <= P.b + 1e-12, axis=1)
+                if not mask.any():
+                    continue
+                X = X[mask]
+            vals = eval_batch(f, X)
+            i_best = int(np.argmax(vals))
+            if vals[i_best] > best_val:
+                best_val = float(vals[i_best])
+                best_x = X[i_best].copy()
     if best_x is None:
         raise RuntimeError("no feasible grid point; should not happen with b >= 0")
     return best_x, best_val

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +160,11 @@ def test_grid_matches_row_major_reference_scan(n):
         g = ObjectiveHandle(n, f.value, value_batch=counted)
         for ppd in range(1, 8):
             want_x, want_v = _reference_grid_scan(f, lo, domain.upper, ppd, P)
-            for chunk in {1, 7, ppd ** n + 5} | {ppd ** k for k in range(n + 1)}:
+            # sizes between whole runs give blocks of several runs whose
+            # last block of each run group is partial
+            chunks = {1, 7, ppd ** n + 5} | {ppd ** k for k in range(n + 1)} | \
+                {2 * ppd ** k + 1 for k in range(n)} | {3 * ppd ** k - 1 for k in range(n)}
+            for chunk in chunks:
                 rows.clear()
                 x, v = grid_brute_force(g, domain, ppd, chunk=chunk)
                 assert np.array_equal(x, want_x), (ppd, chunk)
@@ -182,6 +187,71 @@ def test_grid_rejects_nonpositive_chunk():
     for chunk in (0, -3):
         with pytest.raises(ValueError, match="chunk"):
             grid_brute_force(f, BoxDomain([0, 0], [1, 1]), 3, chunk=chunk)
+
+
+def test_grid_rejects_non_integer_sizes_by_name():
+    f = QuadraticInstance(np.zeros((2, 2)), np.zeros(2)).handle()
+    box = BoxDomain([0, 0], [1, 1])
+    with pytest.raises(ValueError, match="points_per_dim must be a positive int, got 2.5"):
+        grid_brute_force(f, box, 2.5)
+    with pytest.raises(ValueError, match="points_per_dim must be a positive int, got 0"):
+        grid_brute_force(f, box, 0)
+    with pytest.raises(ValueError, match="chunk must be a positive int, got 2.5"):
+        grid_brute_force(f, box, 3, chunk=2.5)
+
+
+def _peaks(X):
+    # 1 where x_2 is odd and x_3 == 2, else 0: on the grid 0..5 every run of
+    # the trailing axis has its maximum at x_3 = 2, and equal maxima lie in
+    # runs x_2 = 1, 3, 5 under every value of x_1
+    return ((X[:, 1] % 2 == 1) & (X[:, 2] == 2)).astype(float)
+
+
+@pytest.mark.parametrize("chunk", [6, 12, 18, 36, 216])
+def test_grid_ties_across_runs_and_blocks_keep_the_earliest(chunk):
+    # chunk 6: one run per block; 12 and 18: two and three runs per block, so
+    # equal maxima sit in two runs of one block and in several blocks; 36: a
+    # block per value of x_1; 216: the whole grid in one block
+    f = ObjectiveHandle(3, lambda x: float(_peaks(np.atleast_2d(x))[0]), value_batch=_peaks)
+    box = BoxDomain([0, 0, 0], [5, 5, 5])
+    x, v = grid_brute_force(f, box, 6, chunk=chunk)
+    assert np.array_equal(x, [0, 1, 2]) and v == 1.0
+
+
+def test_grid_default_blocks_are_whole_runs_within_2_14_rows():
+    rows = []
+
+    def first_coordinate(X):
+        rows.append(X.shape[0])
+        return X[:, 0]
+
+    f = ObjectiveHandle(4, lambda x: float(x[0]), value_batch=first_coordinate)
+    box = BoxDomain(np.zeros(4), np.ones(4))
+    # runs of 21^3 and 51^2 rows; a block takes as many whole runs as fit
+    for points, run in ((21, 21 ** 3), (51, 51 ** 2)):
+        rows.clear()
+        x, v = grid_brute_force(f, box, points)
+        assert sum(rows) == points ** 4 and max(rows) <= 2 ** 14
+        assert max(rows) > 2 ** 14 - run, points
+        assert np.array_equal(x, [1, 0, 0, 0]) and v == 1.0
+
+
+def _grid_peak(f, box, points):
+    tracemalloc.start()
+    try:
+        grid_brute_force(f, box, points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_peak_memory_is_one_block_of_runs():
+    # the peak is one block of at most 2**14 rows and its value_batch
+    # temporaries, not a block of the whole trailing grid (13.4 MiB for one
+    # 194,481-row block of the 21^4 grid)
+    inst, box = gen_nonmonotone_nqp(4, 0)
+    for points in (21, 51):
+        assert _grid_peak(inst.handle(box), box, points) <= 4 * 2 ** 20, points
 
 
 # --------------------------------------------------------------- experiments
@@ -334,6 +404,19 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(experiment="nonmonotone_nqp", n=9, grid_oracle=True).validate()
     with pytest.raises(ValueError, match="box-constrained"):
         ExperimentConfig(experiment="monotone_nqp", methods=["double_greedy"]).validate()
+
+
+@pytest.mark.parametrize("field, value", [("n", 2.5), ("n", 0), ("m", 1.5), ("m", 0),
+                                          ("grid_points", 2.5), ("grid_points", 0)])
+def test_validate_names_a_bad_size(tmp_path, field, value):
+    # a float size must fail in validate, by name, before any output is
+    # written, not later as an unlocated TypeError in the instance builder
+    for experiment in ("monotone_nqp", "nonmonotone_nqp"):
+        cfg = _tiny_cfg(tmp_path, experiment=experiment, methods=["random_cube"],
+                        grid_oracle=True, **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be a positive int, got {value}"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
 
 def test_validate_rejects_output_name_collisions(tmp_path):
