@@ -41,7 +41,7 @@ def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
     if isinstance(domain, BoxDomain):
         project = lambda z: project_box(domain, z)
     elif isinstance(domain, PolytopeDomain):
-        project = lambda z: project_polytope(domain, z, tol=1e-9)
+        project = lambda z: project_polytope(domain, z)
     else:
         raise TypeError("domain must be a BoxDomain or PolytopeDomain")
     x = np.zeros(f.dimension)

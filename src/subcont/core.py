@@ -44,10 +44,6 @@ class BoxDomain:
     def dimension(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = as_point(x, self.dimension)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> Array:
         """Uniform draws from the box; shape (n,) or (size, n)."""
         shape = self.dimension if size is None else (size, self.dimension)
@@ -178,13 +174,6 @@ class SolverTrace:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def lattice_ops(x, y) -> tuple[Array, Array]:
-    """Coordinate-wise (join, meet) = (max, min) of two points."""
-    x = as_point(x)
-    y = as_point(y, x.shape[0])
-    return np.maximum(x, y), np.minimum(x, y)
 
 
 def finite_diff_gradient(f, x, h: float = 1e-5) -> Array:

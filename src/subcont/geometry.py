@@ -1,4 +1,4 @@
-"""Feasibility tests, an LP vertex oracle, Euclidean projection, and samplers
+"""Feasibility residuals, an LP vertex oracle, Euclidean projection, and samplers
 for down-closed polytopes ``{x : 0 <= x <= upper, A x <= b}``.
 
 Everything runs on plain numpy.  The LP oracle is a bounded-variable primal
@@ -8,6 +8,7 @@ dependency-free, which is what the solvers and the vertex-enumeration
 cross-checks need.  Each solution keeps its final simplex basis, so that
 ``still_optimal`` can tell from the reduced costs alone whether the same
 vertex is optimal for another cost vector, without a new solve.  The
+projection is one least-distance program, solved as a single NNLS.  The
 hit-and-run sampler takes each chord from one ratio vector over all
 ``2n + m`` constraints.
 """
@@ -42,16 +43,6 @@ class LPSolution:
     basis: list[int]   # active-constraint indices, see active_constraints()
     tableau: tuple[Array, Array, Array] | None = field(default=None, repr=False,
                                                        compare=False)
-
-
-def contains(P: PolytopeDomain, x, tol: float = 1e-9) -> bool:
-    """True iff x satisfies the box and row constraints within tol."""
-    x = as_point(x, P.dimension)
-    if np.any(x < -tol) or np.any(x > P.upper + tol):
-        return False
-    if P.num_rows and np.any(P.A @ x > P.b + tol):
-        return False
-    return True
 
 
 def feasibility_residual(domain, x) -> float:
@@ -220,37 +211,52 @@ def project_box(box: BoxDomain, x) -> Array:
     return np.clip(as_point(x, box.dimension), box.lower, box.upper)
 
 
-def project_polytope(P: PolytopeDomain, x, tol: float = 1e-9,
-                     max_iter: int = 20000) -> Array:
-    """Euclidean projection of x onto P via Dykstra's alternating projections.
+def _nnls(M: Array, d: Array) -> Array:
+    """``argmin ||M u - d||`` over ``u >= 0`` by Lawson and Hanson's active set:
+    least squares on the free columns, stepping back to ``u >= 0`` and fixing
+    at 0 the columns that reach it.  Raises after ``3k`` steps."""
+    k = M.shape[1]
+    tol = 10.0 * max(M.shape) * np.finfo(float).eps * max(1.0, np.abs(M).sum(axis=0).max())
+    u, passive = np.zeros(k), np.zeros(k, dtype=bool)
+    enter = True
+    for _ in range(3 * k):
+        if enter:
+            w = np.where(passive, -np.inf, M.T @ (d - M @ u))
+            j = int(np.argmax(w))
+            if w[j] <= tol:
+                return u
+            passive[j] = True
+        s = np.zeros(k)
+        s[passive] = np.linalg.lstsq(M[:, passive], d, rcond=None)[0]
+        enter = bool(s[passive].min() > 0)
+        if not enter:   # back to the last point of u -> s with u >= 0
+            neg = passive & (s <= 0)
+            s = u + np.min(u[neg] / (u[neg] - s[neg])) * (s - u)
+            passive &= s > tol
+            s[~passive] = 0.0
+        u = s
+    raise RuntimeError(f"NNLS active set did not settle within {3 * k} steps")
 
-    Plain alternating projection converges to some feasible point; Dykstra's
-    correction terms make the limit the actual nearest point, which projected
-    gradient ascent needs.  Raises when max_iter cycles do not reach tol.
+
+def project_polytope(P: PolytopeDomain, x) -> Array:
+    """Euclidean projection of x onto P, as one least-distance program.
+
+    The nearest point is ``x + z`` for the shortest z with ``G (x + z) <= h``,
+    ``G = [A; -I; I]``, ``h = [b; 0; upper]``: by Lawson & Hanson (1974, ch.
+    23), ``z = -s r[:n] / r[n]`` for the residual r of the NNLS
+    ``min ||M u - e_{n+1}||``, ``u >= 0``, ``M = [-G^T; (G x - h)^T / s]``.
+    The scale s bounds the distance to P, so ``|r[n]|`` stays near 1 and far
+    points lose no digits.  Finite and deterministic; the result is clipped
+    into the box against round-off.
     """
-    x_cur = as_point(x, P.dimension).copy()
-    m, n = P.num_rows, P.dimension
-    row_norm2 = (P.A ** 2).sum(axis=1) if m else np.zeros(0)
-    incr = np.zeros((m + 1, n))
-    for _ in range(max_iter):
-        x_prev = x_cur
-        for s in range(m):
-            y = x_cur + incr[s]
-            viol = P.A[s] @ y - P.b[s]
-            if viol > 0 and row_norm2[s] > 0:
-                x_cur = y - (viol / row_norm2[s]) * P.A[s]
-            else:
-                x_cur = y
-            incr[s] = y - x_cur
-        y = x_cur + incr[m]
-        x_cur = np.clip(y, 0.0, P.upper)
-        incr[m] = y - x_cur
-        if (np.max(np.abs(x_cur - x_prev)) <= tol * 1e-2
-                and feasibility_residual(P, x_cur) <= tol):
-            return x_cur
-    raise RuntimeError(
-        f"projection did not converge within {max_iter} cycles; "
-        f"residual {feasibility_residual(P, x_cur):.3e}")
+    x = as_point(x, P.dimension)
+    n = P.dimension
+    s = max(1.0, float(np.linalg.norm(x - ratio_shrink(P, np.clip(x, 0.0, P.upper)))))
+    M = np.vstack([np.hstack([-P.A.T, np.eye(n), -np.eye(n)]),
+                   np.concatenate([P.A @ x - P.b, -x, x - P.upper]) / s])
+    e = np.eye(n + 1)[n]
+    r = M @ _nnls(M, e) - e
+    return np.clip(x - s * r[:n] / r[n], 0.0, P.upper)
 
 
 _INF_BITS = np.array(np.inf).view(np.int64)        # bit pattern of +inf

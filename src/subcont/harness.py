@@ -75,6 +75,9 @@ class ExperimentConfig:
         _check_positive_int("grid_points", self.grid_points)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+                raise ValueError(f"seed {seed!r} must be a non-negative int")
         _reject_collisions("seeds", self.seeds, str)
         _check_positive_int("iteration budget K", self.K)
         _check_positive_int("sample count k_s", self.k_s)

@@ -215,7 +215,8 @@ class BipartiteInfluenceInstance(_Family):
 
     def value_batch(self, X: Array) -> Array:
         X = self._rows(X)
-        return self.n_customers - np.exp(X @ self._L).sum(axis=1)
+        survival = X @ self._L
+        return self.n_customers - np.exp(survival, out=survival).sum(axis=1)
 
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(

@@ -64,3 +64,12 @@ def test_cli_error_exit_code(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: unknown experiment '{name}'; choose from ['monotone_nqp'" in err
+
+
+def test_cli_rejects_a_negative_seed_base(tmp_path, capsys):
+    out = tmp_path / "neg"
+    code = main(["run", "--experiment", "nonmonotone_nqp", "--n", "3",
+                 "--seed-base", "-3", "--out", str(out)])
+    assert code == 1
+    assert "error: seed -3 must be a non-negative int" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcont import (LPSolution, PolytopeDomain, contains, enumerate_vertices,
+from subcont import (LPSolution, PolytopeDomain, enumerate_vertices,
                      feasibility_residual, gen_monotone_nqp, hit_and_run,
                      linear_maximize, project_polytope, ratio_shrink, still_optimal)
 
@@ -22,17 +22,14 @@ def _random_polytope(rng):
     return PolytopeDomain(A, b, upper)
 
 
-# ----------------------------------------------------------------- contains
-
-def test_contains_examples():
-    assert contains(SIMPLEX, [0.5, 0.5])
-    assert not contains(SIMPLEX, [1.0, 1.0])
-    assert contains(SIMPLEX, [0.0, 0.0])
-
+# ------------------------------------------------------- feasibility residual
 
 def test_feasibility_residual():
     assert feasibility_residual(SIMPLEX, [0.5, 0.5]) == 0.0
+    assert feasibility_residual(SIMPLEX, [0.0, 0.0]) == 0.0
     assert feasibility_residual(SIMPLEX, [1.0, 1.0]) == pytest.approx(1.0)
+    assert feasibility_residual(SIMPLEX, [-0.25, 0.5]) == pytest.approx(0.25)
+    assert feasibility_residual(SIMPLEX, [0.0, 1.5]) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------- LP oracle
@@ -43,7 +40,7 @@ def _assert_optimal_vertex(P, c, sol):
     n = P.dimension
     best = max(float(c @ v) for v in enumerate_vertices(P))
     assert sol.objective == pytest.approx(best, abs=1e-8)
-    assert contains(P, sol.point, 1e-9)
+    assert feasibility_residual(P, sol.point) <= 1e-9
     normals = np.vstack([P.A, np.eye(n), np.eye(n)])
     assert np.linalg.matrix_rank(normals[sol.basis]) == n
     assert still_optimal(sol, c)
@@ -218,13 +215,14 @@ def test_linear_maximize_deterministic():
 
 def test_project_examples():
     loose = PolytopeDomain([[1.0, 1.0]], [2.0], [1.0, 1.0])
-    assert np.allclose(project_polytope(loose, [2.0, 0.0], 1e-9), [1.0, 0.0])
+    assert np.allclose(project_polytope(loose, [2.0, 0.0]), [1.0, 0.0])
 
-    p = project_polytope(SIMPLEX, [1.0, 1.0], 1e-9)
-    assert np.allclose(p, [0.5, 0.5], atol=1e-7)
+    p = project_polytope(SIMPLEX, [1.0, 1.0])
+    assert np.allclose(p, [0.5, 0.5], atol=1e-12)
 
+    # a feasible point is its own projection, bit for bit
     inside = np.array([0.25, 0.25])
-    assert np.allclose(project_polytope(SIMPLEX, inside, 1e-9), inside, atol=1e-9)
+    assert np.array_equal(project_polytope(SIMPLEX, inside), inside)
 
 
 def test_project_variational_characterization():
@@ -232,16 +230,43 @@ def test_project_variational_characterization():
     for trial in range(10):
         P = _random_polytope(rng)
         x = rng.uniform(-1, 2, size=P.dimension)
-        p = project_polytope(P, x, 1e-8)
+        p = project_polytope(P, x)
         # <x - p, q - p> <= tol for feasible q characterizes the projection
         for _ in range(100):
             q = ratio_shrink(P, rng.uniform(0, 1, size=P.dimension) * P.upper)
             assert float((x - p) @ (q - p)) <= 1e-6
 
 
-def test_project_nonconvergence_carries_residual():
-    with pytest.raises(RuntimeError, match="residual"):
-        project_polytope(SIMPLEX, [5.0, 5.0], 1e-12, max_iter=1)
+def _assert_nearest(P, y, x, tol):
+    """x is feasible and no vertex q of P has <y - x, q - x> > 0: the LP over
+    P certifies x as the nearest point to y, up to tol."""
+    g = y - x
+    assert feasibility_residual(P, x) <= tol
+    assert linear_maximize(P, g).objective - float(g @ x) <= tol * (1.0 + np.linalg.norm(g))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("step", [1e-4, 1e-3, 1e-2])
+def test_project_first_proj_grad_point_at_paper_scale(seed, step):
+    # the first step of projected gradient ascent from the origin on a
+    # paper-scale instance; at step 1e-2 the point lies far outside P, where
+    # an iterative projection can stop at a feasible point short of the nearest
+    inst, P = gen_monotone_nqp(100, 50, seed)
+    y = step * inst.gradient(np.zeros(100))
+    x = project_polytope(P, y)
+    _assert_nearest(P, y, x, 1e-9)
+    assert x.tobytes() == project_polytope(P, y).tobytes()
+
+
+def test_project_far_points_on_small_polytopes():
+    rng = np.random.default_rng(13)
+    for trial in range(200):
+        P = _random_polytope(rng)
+        y = rng.normal(size=P.dimension) * 10.0 ** rng.uniform(0.0, 5.0)
+        x = project_polytope(P, y)
+        _assert_nearest(P, y, x, 1e-8)
+        if P.num_rows == 0:   # a box: the projection is the clip
+            assert np.allclose(x, np.clip(y, 0.0, P.upper), rtol=0.0, atol=1e-9)
 
 
 # -------------------------------------------------------------- hit-and-run
@@ -253,7 +278,7 @@ def test_hit_and_run_feasible_and_deterministic():
         s1 = hit_and_run(P, 25, seed=trial)
         s2 = hit_and_run(P, 25, seed=trial)
         assert np.array_equal(s1, s2)
-        assert all(contains(P, row, 1e-9) for row in s1)
+        assert all(feasibility_residual(P, row) <= 1e-9 for row in s1)
 
 
 def test_hit_and_run_uniform_mean_on_interval():
@@ -266,7 +291,7 @@ def test_hit_and_run_uniform_moments_on_simplex():
     # uniform on {x >= 0, x1 + x2 <= 1} has coordinate mean 1/3
     s = hit_and_run(SIMPLEX, 4000, seed=11)
     assert np.max(np.abs(s.mean(axis=0) - 1.0 / 3.0)) <= 0.03
-    assert all(contains(SIMPLEX, row, 1e-9) for row in s)
+    assert all(feasibility_residual(SIMPLEX, row) <= 1e-9 for row in s)
 
 
 def test_hit_and_run_prefix_across_blocks():
@@ -277,7 +302,7 @@ def test_hit_and_run_prefix_across_blocks():
     short = hit_and_run(P, 5000, seed=7)
     long_run = hit_and_run(P, 9000, seed=7)
     assert short.tobytes() == long_run[:5000].tobytes()
-    assert all(contains(P, row, 1e-9) for row in long_run)
+    assert all(feasibility_residual(P, row) <= 1e-9 for row in long_run)
 
 
 # sha256 of samples.tobytes(), recorded before the chain kept its state as
@@ -359,4 +384,4 @@ def test_ratio_shrink_always_feasible():
     for trial in range(50):
         P = _random_polytope(rng)
         x = rng.uniform(0, 3, size=P.dimension)
-        assert contains(P, ratio_shrink(P, x), 1e-9)
+        assert feasibility_residual(P, ratio_shrink(P, x)) <= 1e-9

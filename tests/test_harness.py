@@ -472,6 +472,30 @@ def test_proj_grad_runs_the_configured_step_unrounded(tmp_path):
     assert record.final_value == value
 
 
+def test_proj_grad_runs_at_paper_scale(tmp_path):
+    # the default monotone_nqp methods include proj_grad, so one projection
+    # that fails at n=100, m=50 ends the whole run
+    cfg = ExperimentConfig(experiment="monotone_nqp", n=100, m=50, K=1, seeds=[0, 1],
+                           sweep=[1.0], methods=["proj_grad"], steps=[0.01],
+                           output_dir=str(tmp_path / "out"))
+    records = run_experiment(cfg)
+    assert [r.instance_seed for r in records] == [0, 1]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "completed"
+    for r in records:
+        rows = read_trace_csv(r.trace_path)
+        assert rows[-1][2] > rows[0][2] and rows[-1][3] <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_validate_names_a_bad_seed(tmp_path, seed):
+    # a seed must fail in validate, by value, before the manifest is written
+    cfg = _tiny_cfg(tmp_path, seeds=[0, seed])
+    with pytest.raises(ValueError, match=f"seed {seed!r} must be a non-negative int"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_read_trace_csv_errors_are_located(tmp_path):
     p = tmp_path / "trace.csv"
     p.write_text("")
