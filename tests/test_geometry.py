@@ -24,9 +24,15 @@ def _random_polytope(rng):
 
 # ------------------------------------------------------- feasibility residual
 
+def test_contains_examples():
+    # membership is a zero residual
+    assert feasibility_residual(SIMPLEX, [0.5, 0.5]) == 0.0
+    assert feasibility_residual(SIMPLEX, [1.0, 1.0]) > 0.0
+    assert feasibility_residual(SIMPLEX, [0.0, 0.0]) == 0.0
+
+
 def test_feasibility_residual():
     assert feasibility_residual(SIMPLEX, [0.5, 0.5]) == 0.0
-    assert feasibility_residual(SIMPLEX, [0.0, 0.0]) == 0.0
     assert feasibility_residual(SIMPLEX, [1.0, 1.0]) == pytest.approx(1.0)
     assert feasibility_residual(SIMPLEX, [-0.25, 0.5]) == pytest.approx(0.25)
     assert feasibility_residual(SIMPLEX, [0.0, 1.5]) == pytest.approx(0.5)
