@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Array, BoxDomain, ObjectiveHandle, PolytopeDomain, SolverTrace, eval_batch
+from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain, SolverTrace,
+                   check_positive_int, eval_batch)
 from .geometry import (feasibility_residual, hit_and_run, project_box,
                        project_polytope, ratio_shrink)
 from .solvers import CONCAVE_MODE, maximize_1d
@@ -25,6 +26,7 @@ def random_best_of(f: ObjectiveHandle, P: PolytopeDomain, k_s: int,
 def random_cube_baseline(f: ObjectiveHandle, P: PolytopeDomain, k_s: int,
                          seed: int) -> tuple[Array, float]:
     """Best of k_s uniform box samples, each shrunk into the polytope."""
+    check_positive_int("sample count k_s", k_s)
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.0, P.upper, size=(k_s, P.dimension))
     shrunk = np.array([ratio_shrink(P, row) for row in raw])

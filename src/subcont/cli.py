@@ -27,7 +27,12 @@ def _base_seed(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("SUBCONT_SEED")
-    return int(env) if env else DEFAULT_BASE_SEED
+    if not env:
+        return DEFAULT_BASE_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"SUBCONT_SEED must be an int, got {env!r}") from None
 
 
 def _function_or_path(name: str, n: int, seed: int):

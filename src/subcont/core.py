@@ -5,6 +5,7 @@ from multiple threads is safe.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -25,6 +26,13 @@ def as_point(x, dim: int | None = None) -> Array:
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {p.shape[0]}")
     return p
+
+
+def check_positive_int(what: str, value) -> None:
+    """Raise a ValueError naming ``what`` unless value is an int >= 1; a bool
+    is not an int here."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{what} must be a positive int, got {value!r}")
 
 
 @dataclass

@@ -4,8 +4,7 @@ for down-closed polytopes ``{x : 0 <= x <= upper, A x <= b}``.
 Everything runs on plain numpy.  The LP oracle is a bounded-variable primal
 simplex whose tableau holds only the m rows of ``A x + s = b``; the box bounds
 are handled as bound flips in the ratio test.  It is deterministic and
-dependency-free, which is what the solvers and the vertex-enumeration
-cross-checks need.  Each solution keeps its final simplex basis, so that
+dependency-free.  Each solution keeps its final simplex basis, so that
 ``still_optimal`` can tell from the reduced costs alone whether the same
 vertex is optimal for another cost vector, without a new solve.  The
 projection is one least-distance program, solved as a single NNLS.  The
@@ -14,13 +13,11 @@ hit-and-run sampler takes each chord from one ratio vector over all
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .core import Array, BoxDomain, PolytopeDomain, as_point
+from .core import Array, BoxDomain, PolytopeDomain, as_point, check_positive_int
 
 _EPS_COST = 1e-9     # reduced-cost threshold for entering variables
 _EPS_PIVOT = 1e-11   # smallest usable pivot element
@@ -29,20 +26,18 @@ _EPS_STEP = 1e-10    # a simplex step this short counts as degenerate
 
 @dataclass
 class LPSolution:
-    """A vertex, its objective, and its active constraints.
+    """A vertex, its objective, and the simplex basis that certifies it.
 
-    ``tableau`` is the final simplex basis that certifies the vertex optimal:
-    the tableau columns ``B^-1 [A I]`` in complemented variables, the basic
-    column indices, and the mask of complemented (at-upper-bound) columns.
-    ``linear_maximize`` fills it in; a solution built elsewhere has None and
-    carries no certificate.
+    ``basis`` is the final simplex basis of ``linear_maximize``: the tableau
+    columns ``B^-1 [A I]`` in complemented variables, the basic column
+    indices, and the mask of complemented (at-upper-bound) columns.  A
+    solution built elsewhere has None and carries no certificate.
     """
 
     point: Array
     objective: float
-    basis: list[int]   # active-constraint indices, see active_constraints()
-    tableau: tuple[Array, Array, Array] | None = field(default=None, repr=False,
-                                                       compare=False)
+    basis: tuple[Array, Array, Array] | None = field(default=None, repr=False,
+                                                     compare=False)
 
 
 def feasibility_residual(domain, x) -> float:
@@ -58,22 +53,6 @@ def feasibility_residual(domain, x) -> float:
     return float(max(res, 0.0))
 
 
-def active_constraints(P: PolytopeDomain, x, tol: float = 1e-9) -> list[int]:
-    """Indices of constraints tight at x.
-
-    Convention: 0..m-1 are rows of A, m..m+n-1 the lower bounds x_i >= 0,
-    m+n..m+2n-1 the upper bounds x_i <= upper_i.
-    """
-    x = as_point(x, P.dimension)
-    m, n = P.num_rows, P.dimension
-    out = []
-    if m:
-        out.extend(np.nonzero(np.abs(P.A @ x - P.b) <= tol)[0].tolist())
-    out.extend((m + np.nonzero(np.abs(x) <= tol)[0]).tolist())
-    out.extend((m + n + np.nonzero(np.abs(x - P.upper) <= tol)[0]).tolist())
-    return sorted(out)
-
-
 def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
     """Return a vertex of P maximizing <c, x>.
 
@@ -87,7 +66,7 @@ def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
     rule (lowest improving index) until a step makes progress, which prevents
     cycling.  Ratio-test ties go to the lowest basic-variable index.  The
     result is a pure, deterministic function of (P, c); it carries its final
-    basis in ``tableau``, for ``still_optimal``.
+    simplex basis, for ``still_optimal``.
     """
     c = as_point(c, P.dimension)
     n, m = P.dimension, P.num_rows
@@ -153,8 +132,7 @@ def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
     x = np.where(flipped[:n], P.upper - y[:n], y[:n])
     np.clip(x, 0.0, P.upper, out=x)
     return LPSolution(point=x, objective=float(c @ x),
-                      basis=active_constraints(P, x),
-                      tableau=(T[:, :ncols], basis, flipped))
+                      basis=(T[:, :ncols], basis, flipped))
 
 
 def still_optimal(sol: LPSolution, c) -> bool:
@@ -165,46 +143,16 @@ def still_optimal(sol: LPSolution, c) -> bool:
     reduced costs ``c~ - c~_B T`` need recomputing (``c~ = [c, 0]`` with the
     complemented entries negated).  The test is the simplex's own stopping
     rule: no reduced cost above ``_EPS_COST``.  False when ``sol`` carries no
-    tableau.
+    basis.
     """
-    if sol.tableau is None:
+    if sol.basis is None:
         return False
-    T, basis, flipped = sol.tableau
+    T, basis, flipped = sol.basis
     cost = np.zeros(T.shape[1])
     cost[:len(sol.point)] = as_point(c, len(sol.point))
     cost[flipped] *= -1.0
     reduced = cost - cost[basis] @ T
     return bool(reduced.max(initial=-np.inf) <= _EPS_COST)
-
-
-def enumerate_vertices(P: PolytopeDomain) -> list[Array]:
-    """All vertices of P by brute-force enumeration of n-subsets of constraints.
-
-    Test oracle for linear_maximize; guarded to n <= 10 and m <= 10.  A row
-    counts as satisfied when its violation is at most 1e-9 times the row norm,
-    so rows with tiny coefficients do not admit near-feasible non-vertices.
-    """
-    n, m = P.dimension, P.num_rows
-    if n > 10 or m > 10:
-        raise ValueError("enumerate_vertices guard: requires n <= 10 and m <= 10")
-    row_tol = 1e-9 * np.linalg.norm(P.A, axis=1)
-    normals = np.vstack([P.A, np.eye(n), np.eye(n)]) if m else np.vstack([np.eye(n), np.eye(n)])
-    offsets = np.concatenate([P.b, np.zeros(n), P.upper])
-    vertices: list[Array] = []
-    for combo in combinations(range(m + 2 * n), n):
-        M = normals[list(combo)]
-        r = offsets[list(combo)]
-        try:
-            v = np.linalg.solve(M, r)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(v)) or np.max(np.abs(M @ v - r)) > 1e-8:
-            continue
-        if np.any(v < -1e-9) or np.any(v > P.upper + 1e-9) or np.any(P.A @ v - P.b > row_tol):
-            continue
-        if not any(np.max(np.abs(v - w)) <= 1e-9 for w in vertices):
-            vertices.append(v)
-    return vertices
 
 
 def project_box(box: BoxDomain, x) -> Array:
@@ -324,8 +272,7 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
     built at once, in buffers allocated once per chain (the pads from the
     bit patterns of +-inf, see ``_pads``); deterministic for a fixed seed.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"need a positive integer number of samples k, got {k!r}")
+    check_positive_int("sample count k", k)
     n, m = P.dimension, P.num_rows
     burn_in = 50 * n
     thin = max(1, n)

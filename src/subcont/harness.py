@@ -24,7 +24,7 @@ import numpy as np
 
 from .baselines import proj_grad_ascent, random_best_of, random_cube_baseline, single_greedy
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
-                   SolverTrace, eval_batch)
+                   SolverTrace, check_positive_int, eval_batch)
 from .geometry import feasibility_residual
 from .solvers import (CONCAVE_MODE, DGConfig, FWConfig, QUADRATIC_MODE,
                       REVENUE_MODE, double_greedy, frank_wolfe_variant)
@@ -70,17 +70,17 @@ class ExperimentConfig:
         if self.experiment not in _DEFAULT_METHODS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {list(_DEFAULT_METHODS)}")
-        _check_positive_int("instance size n", self.n)
-        _check_positive_int("constraint count m", self.m)
-        _check_positive_int("grid_points", self.grid_points)
+        check_positive_int("instance size n", self.n)
+        check_positive_int("constraint count m", self.m)
+        check_positive_int("grid_points", self.grid_points)
         if not self.seeds:
             raise ValueError("need at least one seed")
         for seed in self.seeds:
             if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
                 raise ValueError(f"seed {seed!r} must be a non-negative int")
         _reject_collisions("seeds", self.seeds, str)
-        _check_positive_int("iteration budget K", self.K)
-        _check_positive_int("sample count k_s", self.k_s)
+        check_positive_int("iteration budget K", self.K)
+        check_positive_int("sample count k_s", self.k_s)
         if not self.sweep or not all(math.isfinite(s) and s > 0 for s in self.sweep):
             raise ValueError("sweep values must be finite and positive")
         _reject_collisions("sweep values", self.sweep, lambda s: f"{s:g}")
@@ -106,11 +106,6 @@ class ExperimentConfig:
     def resolved_methods(self) -> list[str]:
         return list(self.methods) if self.methods is not None \
             else list(_DEFAULT_METHODS[self.experiment])
-
-
-def _check_positive_int(what: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{what} must be a positive int, got {value!r}")
 
 
 def _reject_collisions(what: str, values, name) -> None:
@@ -243,8 +238,8 @@ def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
     else:
         raise TypeError("domain must be a BoxDomain or PolytopeDomain")
     n = lo.shape[0]
-    _check_positive_int("points_per_dim", points_per_dim)
-    _check_positive_int("chunk", chunk)
+    check_positive_int("points_per_dim", points_per_dim)
+    check_positive_int("chunk", chunk)
     if n > 6 or points_per_dim ** n > 1e8:
         raise ValueError("grid oracle guard: needs n <= 6 and points_per_dim^n <= 1e8")
     axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(n)]

@@ -15,14 +15,13 @@ result is a 1/3 approximation when f(lower) + f(upper) >= 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
-                   SolverTrace, as_point)
+                   SolverTrace, as_point, check_positive_int)
 from .geometry import LPSolution, feasibility_residual, linear_maximize, still_optimal
 
 QUADRATIC_MODE = "quadratic_closed_form"
@@ -45,8 +44,7 @@ class FWConfig:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.K, numbers.Integral) or self.K < 1:
-            raise ValueError(f"K must be a positive int, got {self.K!r}")
+        check_positive_int("K", self.K)
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
         if self.delta < 0:

@@ -12,7 +12,7 @@ from subcont import (BoxDomain, DGConfig, ExperimentConfig, FWConfig,
                      PolytopeDomain, QuadraticInstance,
                      RevenueInstance, check_coordinatewise_concave, check_dr,
                      check_gradient, check_submodular, check_weak_dr,
-                     double_greedy, enumerate_vertices, feasibility_residual,
+                     double_greedy, feasibility_residual,
                      frank_wolfe_variant,
                      gen_bipartite_influence, gen_monotone_nqp, gen_nonmonotone_nqp,
                      gen_sensor, gen_summarization, grid_brute_force,
@@ -21,6 +21,7 @@ from subcont import (BoxDomain, DGConfig, ExperimentConfig, FWConfig,
 from subcont.solvers import QUADRATIC_MODE, REVENUE_MODE
 
 from handles import scalar_handle
+from lp_reference import enumerate_vertices
 
 UNIT_BOX4 = BoxDomain(np.zeros(4), np.ones(4))
 

@@ -52,6 +52,12 @@ def test_random_cube_all_feasible_and_deterministic():
     assert feasibility_residual(SIMPLEX, x1) <= 1e-9
 
 
+@pytest.mark.parametrize("k_s", [0, 2.5, -1, True])
+def test_random_cube_names_a_bad_sample_count(k_s):
+    with pytest.raises(ValueError, match=f"k_s must be a positive int, got {k_s}"):
+        random_cube_baseline(_sum_handle(), SIMPLEX, k_s, seed=0)
+
+
 def test_random_cube_shrink_never_helps_monotone():
     inst, P = gen_monotone_nqp(4, 2, seed=0)
     h = inst.handle(P.box())

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from subcont.cli import main
 
 
@@ -55,6 +57,16 @@ def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [7, 8]
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_cli_names_a_bad_seed_variable(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SUBCONT_SEED", value)
+    code = main(["run", "--experiment", "nonmonotone_nqp", "--n", "3",
+                 "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert f"error: SUBCONT_SEED must be an int, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

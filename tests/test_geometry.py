@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcont import (LPSolution, PolytopeDomain, enumerate_vertices,
-                     feasibility_residual, gen_monotone_nqp, hit_and_run,
-                     linear_maximize, project_polytope, ratio_shrink, still_optimal)
+from subcont import (LPSolution, PolytopeDomain, feasibility_residual,
+                     gen_monotone_nqp, hit_and_run, linear_maximize,
+                     project_polytope, ratio_shrink, still_optimal)
+
+from lp_reference import (active_constraints, constraint_normals, enumerate_vertices,
+                          nonbasic_constraints)
 
 SIMPLEX = PolytopeDomain([[1.0, 1.0]], [1.0], [1.0, 1.0])
 
@@ -40,15 +43,23 @@ def test_feasibility_residual():
 
 # ---------------------------------------------------------------- LP oracle
 
-def _assert_optimal_vertex(P, c, sol):
-    """sol maximizes <c, x> over P, is feasible, is a vertex (its active
-    constraints have rank n), and its stored basis certifies it for c."""
+def _assert_basis_vertex(P, sol):
+    """The n nonbasic columns of sol.basis name constraints tight at sol.point
+    to 1e-9, with normals of rank n: the basis itself proves a vertex."""
     n = P.dimension
+    tight = nonbasic_constraints(P, sol)
+    assert len(tight) == n
+    assert set(tight) <= set(active_constraints(P, sol.point, 1e-9))
+    assert np.linalg.matrix_rank(constraint_normals(P)[tight]) == n
+
+
+def _assert_optimal_vertex(P, c, sol):
+    """sol maximizes <c, x> over P, is feasible, is a vertex of its stored
+    basis, and that basis certifies it for c."""
     best = max(float(c @ v) for v in enumerate_vertices(P))
     assert sol.objective == pytest.approx(best, abs=1e-8)
     assert feasibility_residual(P, sol.point) <= 1e-9
-    normals = np.vstack([P.A, np.eye(n), np.eye(n)])
-    assert np.linalg.matrix_rank(normals[sol.basis]) == n
+    _assert_basis_vertex(P, sol)
     assert still_optimal(sol, c)
 
 
@@ -109,13 +120,7 @@ def test_linear_maximize_returns_vertex():
     rng = np.random.default_rng(4)
     for trial in range(40):
         P = _random_polytope(rng)
-        n, m = P.dimension, P.num_rows
-        sol = linear_maximize(P, rng.normal(size=n))
-        assert len(sol.basis) >= n
-        normals = np.vstack([P.A, np.eye(n), np.eye(n)]) if m else \
-            np.vstack([np.eye(n), np.eye(n)])
-        active = normals[sol.basis]
-        assert np.linalg.matrix_rank(active) == n
+        _assert_basis_vertex(P, linear_maximize(P, rng.normal(size=P.dimension)))
 
 
 @pytest.mark.parametrize("A, b, upper, c, optimum", [
@@ -205,7 +210,7 @@ def test_still_optimal_needs_a_stored_basis():
     c = np.array([2.0, 1.0])
     sol = linear_maximize(SIMPLEX, c)
     assert still_optimal(sol, c)
-    assert not still_optimal(LPSolution(sol.point, sol.objective, sol.basis), c)
+    assert not still_optimal(LPSolution(sol.point, sol.objective), c)
 
 
 def test_linear_maximize_deterministic():
@@ -214,7 +219,8 @@ def test_linear_maximize_deterministic():
     c = rng.normal(size=P.dimension)
     a = linear_maximize(P, c)
     b = linear_maximize(P, c)
-    assert np.array_equal(a.point, b.point) and a.basis == b.basis
+    assert np.array_equal(a.point, b.point)
+    assert all(np.array_equal(u, v) for u, v in zip(a.basis, b.basis))
 
 
 # --------------------------------------------------------------- projection
@@ -338,8 +344,10 @@ def test_hit_and_run_samples_are_pinned(make, k, seed, digest):
 def test_hit_and_run_rejects_bad_k():
     with pytest.raises(ValueError):
         hit_and_run(SIMPLEX, 0, seed=0)
-    with pytest.raises(ValueError, match="samples k, got 2.5"):
+    with pytest.raises(ValueError, match="sample count k must be a positive int, got 2.5"):
         hit_and_run(SIMPLEX, 2.5, seed=0)
+    with pytest.raises(ValueError, match="sample count k must be a positive int, got True"):
+        hit_and_run(SIMPLEX, True, seed=0)
 
 
 def test_hit_and_run_on_pinned_polytope_stays_at_origin():

@@ -198,6 +198,8 @@ def test_grid_rejects_non_integer_sizes_by_name():
         grid_brute_force(f, box, 0)
     with pytest.raises(ValueError, match="chunk must be a positive int, got 2.5"):
         grid_brute_force(f, box, 3, chunk=2.5)
+    with pytest.raises(ValueError, match="points_per_dim must be a positive int, got True"):
+        grid_brute_force(f, box, True)
 
 
 def _peaks(X):
@@ -407,10 +409,13 @@ def test_experiment_config_validation(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("n", 2.5), ("n", 0), ("m", 1.5), ("m", 0),
-                                          ("grid_points", 2.5), ("grid_points", 0)])
+                                          ("grid_points", 2.5), ("grid_points", 0),
+                                          ("n", True), ("m", True), ("grid_points", True),
+                                          ("K", True), ("k_s", True)])
 def test_validate_names_a_bad_size(tmp_path, field, value):
-    # a float size must fail in validate, by name, before any output is
-    # written, not later as an unlocated TypeError in the instance builder
+    # a float or bool size must fail in validate, by name, before any output
+    # is written, not later as an unlocated TypeError in the instance builder
+    # or, for k_s, in np.empty
     for experiment in ("monotone_nqp", "nonmonotone_nqp"):
         cfg = _tiny_cfg(tmp_path, experiment=experiment, methods=["random_cube"],
                         grid_oracle=True, **{field: value})
