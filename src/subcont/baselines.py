@@ -29,7 +29,7 @@ def random_cube_baseline(f: ObjectiveHandle, P: PolytopeDomain, k_s: int,
     check_positive_int("sample count k_s", k_s)
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.0, P.upper, size=(k_s, P.dimension))
-    shrunk = np.array([ratio_shrink(P, row) for row in raw])
+    shrunk = ratio_shrink(P, raw)
     values = eval_batch(f, shrunk)
     best = int(np.argmax(values))
     return shrunk[best].copy(), float(values[best])

@@ -8,8 +8,8 @@ dependency-free.  Each solution keeps its final simplex basis, so that
 ``still_optimal`` can tell from the reduced costs alone whether the same
 vertex is optimal for another cost vector, without a new solve.  The
 projection is one least-distance program, solved as a single NNLS.  The
-hit-and-run sampler takes each chord from one ratio vector over all
-``2n + m`` constraints.
+hit-and-run sampler takes both ends of each chord from one reduction over
+the ``2n + m`` constraints, each taken once per side.
 """
 from __future__ import annotations
 
@@ -207,36 +207,36 @@ def project_polytope(P: PolytopeDomain, x) -> Array:
     return np.clip(x - s * r[:n] / r[n], 0.0, P.upper)
 
 
-_INF_BITS = np.array(np.inf).view(np.int64)        # bit pattern of +inf
-_NEG_INF_BITS = np.array(-np.inf).view(np.int64)   # bit pattern of -inf
+_INF_BITS = np.array(np.inf).view(np.int64)   # bit pattern of +inf
 
 
-def _pads(den, pad_hi, pad_lo, mask):
-    """Masks of the ratio test as additive pads, written into ``pad_hi`` and
-    ``pad_lo``: ``pad_hi`` is 0 where a constraint caps theta from above
-    (den > 1e-13) and +inf elsewhere, ``pad_lo`` is 0 where it caps theta
-    from below (den < -1e-13) and -inf elsewhere.  Each pad is the 0/1 mask
-    times the int64 bit pattern of +-inf, written through an int64 view; the
-    bool ``mask`` is a work buffer.  Works row-wise on a stack of
-    denominators."""
+def _pads(den, pad, mask):
+    """The ratio test's mask as an additive pad, written into ``pad``: 0 where
+    a constraint caps theta from above (den > 1e-13) and +inf elsewhere.  The
+    pad is the 0/1 mask times the int64 bit pattern of +inf, written through
+    an int64 view; the bool ``mask`` is a work buffer.  Works row-wise on a
+    stack of denominators."""
     np.less_equal(den, 1e-13, out=mask)
-    np.multiply(mask, _INF_BITS, out=pad_hi.view(np.int64))
-    np.greater_equal(den, -1e-13, out=mask)
-    np.multiply(mask, _NEG_INF_BITS, out=pad_lo.view(np.int64))
+    np.multiply(mask, _INF_BITS, out=pad.view(np.int64))
 
 
-def _chord(num, den, pad_hi, pad_lo, ratio, padded):
+def _chord(num, den, pad, ratio, ends):
     """Feasible interval (lo, hi) of theta on the line x + theta*d, from the
     constraints ``theta * den <= num``; possibly empty.
 
-    A pad turns every constraint outside its side into +-inf (or NaN, for
-    0/0 and -inf + inf, which fmin/fmax skip), so each bound is one reduction.
-    ``ratio`` and ``padded`` are work buffers, overwritten on each call.
+    ``num`` and ``den`` hold each constraint twice, the second time with the
+    denominator negated: ``num = [r, r]``, ``den = [e, -e]``, ``ends = [0, w]``
+    for ``w = len(e)``.  The first half caps theta from above; in the second,
+    ``r / -e = -(r / e)`` exactly, so it caps ``-theta`` from above where the
+    first caps theta from below.  The pad turns every entry outside its side
+    into +inf (or NaN, for 0/0 and -inf + inf, which fmin skips), so one
+    ``fmin.reduceat`` over both halves gives ``[hi, -lo]``.  ``ratio`` is a
+    work buffer, overwritten on each call.
     """
     np.divide(num, den, out=ratio)
-    hi = float(np.fmin.reduce(np.add(ratio, pad_hi, out=padded)))
-    lo = float(np.fmax.reduce(np.add(ratio, pad_lo, out=padded)))
-    return lo, hi
+    np.add(ratio, pad, out=ratio)
+    hi, neg_lo = np.fmin.reduceat(ratio, ends).tolist()
+    return -neg_lo, hi
 
 
 def _flip_inward(x, d, upper):
@@ -259,18 +259,20 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
     of 50 n steps and then keeps one state every n steps, so it runs
     ``50 n + k n`` steps in all.  The state is one vector ``z = [x, A x, -x]``
     against ``top = [upper, b, 0]``, so each step's chord comes from one ratio
-    test over the ``2n + m`` constraints: numerators ``top - z`` against
-    denominators ``[d, A d, -d]``.  A move adds ``theta`` times the whole
-    denominator to ``z`` and clips it against ``[0, -inf, -upper]`` and
-    ``[upper, +inf, 0]``; negation is exact, so the last block stays ``-x``.
-    ``A x`` is carried along incrementally and recomputed every 16384 steps
-    against drift.  A degenerate chord is retried once with the direction
-    flipped inward on tight box coordinates; if still degenerate the chain
-    stays put for that step (a lazy move, so the uniform target is
-    unchanged).  The randomness is drawn 256 steps at a time from two child
-    streams of ``seed``, and each such chunk's denominators and pads are
-    built at once, in buffers allocated once per chain (the pads from the
-    bit patterns of +-inf, see ``_pads``); deterministic for a fixed seed.
+    test over the ``w = 2n + m`` constraints: numerators ``top - z`` against
+    denominators ``e = [d, A d, -d]``.  Both ends of the chord come from one
+    reduction over the doubled ratio vector of ``[top - z, top - z]`` against
+    ``[e, -e]`` (see ``_chord``).  A move adds ``theta e`` to ``z`` and clips
+    it against ``[0, -inf, -upper]`` and ``[upper, +inf, 0]``; negation is
+    exact, so the last block stays ``-x``.  ``A x`` is carried along
+    incrementally and recomputed every 16384 steps against drift.  A
+    degenerate chord is retried once with the direction flipped inward on
+    tight box coordinates; if still degenerate the chain stays put for that
+    step (a lazy move, so the uniform target is unchanged).  The randomness is
+    drawn 256 steps at a time from two child streams of ``seed``, and each
+    such chunk's doubled denominators and pads are built at once, in buffers
+    allocated once per chain (the pads from the bit pattern of +inf, see
+    ``_pads``); deterministic for a fixed seed.
     """
     check_positive_int("sample count k", k)
     n, m = P.dimension, P.num_rows
@@ -281,38 +283,44 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
     rng_dirs = np.random.default_rng([seed, 0])
     rng_unif = np.random.default_rng([seed, 1])
     A, upper = P.A, P.upper
-    width = 2 * n + m
-    z = np.zeros(width)   # the state [x, A x, -x], updated in place
+    w = 2 * n + m
+    z = np.zeros(w)   # the state [x, A x, -x], updated in place
     x, Ax = z[:n], z[n:n + m]
     top = np.concatenate([upper, P.b, np.zeros(n)])
     floor = np.concatenate([np.zeros(n), np.full(m, -np.inf), -upper])
     ceil = np.concatenate([upper, np.full(m, np.inf), np.zeros(n)])
-    num, ratio, padded, move = (np.empty(width) for _ in range(4))
+    num, ratio = np.empty(2 * w), np.empty(2 * w)
+    num_lo, num_hi = num[:w], num[w:]
+    move = np.empty(w)
+    ends = np.array([0, w])
     dirs_buf = np.empty((_CHUNK, n))
-    dens_buf, pad_hi_buf, pad_lo_buf = (np.empty((_CHUNK, width)) for _ in range(3))
-    mask_buf = np.empty((_CHUNK, width), dtype=bool)
+    dens_buf, pads_buf = np.empty((_CHUNK, 2 * w)), np.empty((_CHUNK, 2 * w))
+    mask_buf = np.empty((_CHUNK, 2 * w), dtype=bool)
     samples = np.empty((k, n))
     total = burn_in + k * thin
     emitted = 0
+    emit_at = burn_in + thin
     step = 0
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    maximum, minimum = np.maximum, np.minimum
     with np.errstate(divide="ignore", invalid="ignore"):
         while step < total:
             c = min(_CHUNK, total - step)
-            dirs, dens = dirs_buf[:c], dens_buf[:c]
-            pad_hi, pad_lo = pad_hi_buf[:c], pad_lo_buf[:c]
+            dirs, dens, pads = dirs_buf[:c], dens_buf[:c], pads_buf[:c]
             rng_dirs.standard_normal(out=dirs)
             unif = rng_unif.random(c).tolist()
             dens[:, :n] = dirs
             np.matmul(dirs, A.T, out=dens[:, n:n + m])
-            np.negative(dirs, out=dens[:, n + m:])
-            _pads(dens, pad_hi, pad_lo, mask_buf[:c])
-            for i in range(c):
-                den = dens[i]
-                np.subtract(top, z, out=num)
-                lo, hi = _chord(num, den, pad_hi[i], pad_lo[i], ratio, padded)
+            np.negative(dirs, out=dens[:, n + m:w])
+            np.negative(dens[:, :w], out=dens[:, w:])
+            _pads(dens, pads, mask_buf[:c])
+            for den, e, pad, u in zip(dens, dens[:, :w], pads, unif):
+                subtract(top, z, out=num_lo)
+                num_hi[:] = num_lo
+                lo, hi = _chord(num, den, pad, ratio, ends)
                 if not hi - lo > 1e-12:
-                    d = _flip_inward(x, dirs[i], upper)
-                    # the retry overwrites row i of the chunk, which this
+                    d = _flip_inward(x, e[:n], upper)
+                    # the retry overwrites this row of the chunk, which this
                     # step has used.  A d as running row sums, in fixed
                     # left-to-right order: the chain is chaotic, so a
                     # last-bit change in one retry's A d grows over the
@@ -321,21 +329,23 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
                     # moved the samples by up to 0.13 per coordinate and
                     # best-of-k values by up to 0.75%.  This order keeps a
                     # seed's samples identical to those of earlier releases.
-                    den[:n] = d
-                    den[n:n + m] = np.cumsum(A * d, axis=1)[:, -1]
-                    np.negative(d, out=den[n + m:])
-                    _pads(den, pad_hi[i], pad_lo[i], mask_buf[i])
-                    lo, hi = _chord(num, den, pad_hi[i], pad_lo[i], ratio, padded)
+                    e[:n] = d
+                    e[n:n + m] = np.cumsum(A * d, axis=1)[:, -1]
+                    np.negative(d, out=e[n + m:])
+                    np.negative(e, out=den[w:])
+                    _pads(den, pad, mask_buf[0])
+                    lo, hi = _chord(num, den, pad, ratio, ends)
                 if hi - lo > 1e-12:
-                    np.multiply(den, lo + unif[i] * (hi - lo), out=move)
-                    z += move
+                    multiply(e, lo + u * (hi - lo), out=move)
+                    add(z, move, out=z)
                     # clip into the box; np.clip costs more per call than both
-                    np.maximum(z, floor, out=z)
-                    np.minimum(z, ceil, out=z)
+                    maximum(z, floor, out=z)
+                    minimum(z, ceil, out=z)
                 step += 1
-                if step > burn_in and (step - burn_in) % thin == 0:
+                if step == emit_at:
                     samples[emitted] = x
                     emitted += 1
+                    emit_at += thin
             # periodic resync against incremental drift; 256 divides 16384,
             # so every 16384th step ends a chunk
             if m and step % 16384 == 0:
@@ -344,16 +354,30 @@ def hit_and_run(P: PolytopeDomain, k: int, seed: int) -> Array:
 
 
 def ratio_shrink(P: PolytopeDomain, x) -> Array:
-    """Scale a nonnegative point into P: clamp to the box, then shrink by the
-    worst row ratio t* = min(1, min_i b_i / (A x')_i over violable rows)."""
-    x = as_point(x, P.dimension)
-    if np.any(x < 0):
-        raise ValueError("ratio_shrink expects a nonnegative point")
-    xc = np.minimum(x, P.upper)
-    t = 1.0
+    """Scale nonnegative points into P: clamp each to the box, then shrink it
+    by its worst row ratio t* = min(1, min_i b_i / (A x')_i over violable rows).
+
+    ``x`` is one point or a (k, n) stack of points; the result has the same
+    shape.  Each row's ``A x'`` is its own matrix-vector product, so every row
+    shrinks bit for bit as it would alone (a matrix-matrix product rounds
+    differently in the last bits).
+    """
+    X = np.asarray(x, dtype=float)
+    single = X.ndim < 2
+    if single:
+        X = as_point(X, P.dimension).reshape(1, -1)
+    elif X.ndim != 2 or X.shape[1] != P.dimension:
+        raise ValueError(f"expected a point or a (k, {P.dimension}) stack, "
+                         f"got shape {X.shape}")
+    elif not np.isfinite(X).all():
+        raise ValueError("point contains non-finite entries")
+    if np.any(X < 0):
+        raise ValueError("ratio_shrink expects nonnegative points")
+    xc = np.minimum(X, P.upper)
+    t = np.ones((len(xc), 1))
     if P.num_rows:
-        ax = P.A @ xc
-        pos = ax > 0
-        if pos.any():
-            t = min(1.0, float((P.b[pos] / ax[pos]).min()))
-    return t * xc
+        ax = np.array([P.A @ row for row in xc]).reshape(len(xc), P.num_rows)
+        ratios = np.divide(P.b, ax, out=np.full(ax.shape, np.inf), where=ax > 0)
+        np.minimum(t, ratios.min(axis=1, keepdims=True), out=t)
+    shrunk = t * xc
+    return shrunk[0] if single else shrunk

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,24 @@ def test_random_cube_shrink_never_helps_monotone():
     for _ in range(50):
         raw = rng.uniform(0, 1, size=4)
         assert h.value(ratio_shrink(P, raw)) <= h.value(np.minimum(raw, P.upper)) + 1e-12
+
+
+# sha256 of best.tobytes() + value, recorded before random_cube shrank its
+# samples in one call: a paper-scale polytope and an m = 0 box over the
+# same objective
+_CUBE_DIGESTS = [
+    (False, "9d6806e1f20d3cb6a07b1b5f48c32c38ffd9e466d915d6db442926a65db41a57"),
+    (True, "86c49bdba49c2004666a022b9e5d028b38cab081852ba55b413ebdd8242c104c"),
+]
+
+
+@pytest.mark.parametrize("box, digest", _CUBE_DIGESTS, ids=["nqp100x50", "box"])
+def test_random_cube_best_is_pinned(box, digest):
+    inst, P = gen_monotone_nqp(100, 50, 0)
+    if box:
+        P = PolytopeDomain(np.zeros((0, 100)), np.zeros(0), P.upper)
+    x, v = random_cube_baseline(inst.handle(P.box()), P, 1000, 0)
+    assert hashlib.sha256(x.tobytes() + np.float64(v).tobytes()).hexdigest() == digest
 
 
 def test_proj_grad_zero_step_stays_home():

@@ -331,11 +331,17 @@ _HAR_DIGESTS = [
      "dac15d9059bae76d3c4af6859b31871167726416189098af20c5f717d291e198"),
     (lambda: PolytopeDomain([[1.0, 2.0]], [1.5], [1.0, 1.0]), 9000, 7,
      "f2d7e642a720de6b0cb4c7130d67916c490cf0a8c085d7df27e654faa4e66242"),
+    # the shape of the polytope_sweep budget cell (n = 20, one row), 21000
+    # steps across the resync; recorded before both chord ends came from one
+    # reduction
+    (lambda: PolytopeDomain(np.random.default_rng(3).uniform(0.5, 1.5, size=(1, 20)),
+                            [5.0], np.ones(20)), 1000, 1,
+     "0967d16760a05eb439256ee5409b2ab34046e82bb5dd1bb38b4687ea6bcc554a"),
 ]
 
 
 @pytest.mark.parametrize("make, k, seed, digest", _HAR_DIGESTS,
-                         ids=["nqp100x50", "retry", "interval", "resync"])
+                         ids=["nqp100x50", "retry", "interval", "resync", "budget"])
 def test_hit_and_run_samples_are_pinned(make, k, seed, digest):
     samples = hit_and_run(make(), k, seed)
     assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
@@ -370,7 +376,9 @@ def _har_peak(P, k):
 def test_hit_and_run_peak_memory_is_one_chunk_of_draws():
     # the chunk buffers (draws, denominators, pads) are allocated once per
     # chain, 256 steps deep; drawing 16384 steps at once peaked at about
-    # 22 MiB here (n = 100, m = 50), fresh buffers for every chunk at 3.4 MiB
+    # 22 MiB here (n = 100, m = 50), fresh buffers for every chunk at 3.4 MiB.
+    # The doubled denominators and their one pad, 2(2n + m) entries a row,
+    # take it from 1.98 to 2.58 MiB at k = 200
     P = gen_monotone_nqp(100, 50, 0)[1]
     small, large = _har_peak(P, 200), _har_peak(P, 2000)
     assert small < 3 * 2 ** 20
@@ -386,11 +394,51 @@ def test_ratio_shrink_examples():
     feasible = np.array([0.25, 0.5])
     assert np.array_equal(ratio_shrink(SIMPLEX, feasible), feasible)
     assert np.array_equal(ratio_shrink(SIMPLEX, [0.0, 0.0]), [0.0, 0.0])
+    # one point in, one point out; a stack of one stays a stack
+    box = PolytopeDomain(np.zeros((0, 1)), np.zeros(0), [1.0])
+    assert ratio_shrink(box, 3.0).shape == (1,)
+    assert np.array_equal(ratio_shrink(SIMPLEX, [[2.0, 2.0]]), [[0.5, 0.5]])
+    assert ratio_shrink(SIMPLEX, np.empty((0, 2))).shape == (0, 2)
 
 
 def test_ratio_shrink_rejects_negative():
     with pytest.raises(ValueError):
         ratio_shrink(SIMPLEX, [-0.1, 0.5])
+
+
+def _shrink_rows(P, X):
+    return np.array([ratio_shrink(P, row) for row in X]).reshape(X.shape)
+
+
+def test_ratio_shrink_stack_matches_rows_bit_for_bit():
+    rng = np.random.default_rng(21)
+    polytopes = [_random_polytope(rng) for _ in range(40)]
+    polytopes += [PolytopeDomain(np.zeros((0, n)), np.zeros(0), rng.uniform(0.3, 1.5, n))
+                  for n in (1, 3, 100)]
+    polytopes.append(gen_monotone_nqp(100, 50, 0)[1])
+    for P in polytopes:
+        X = rng.uniform(0, 3, size=(30, P.dimension)) * P.upper
+        X[0] = 0.0
+        X[1] = ratio_shrink(P, X[1]) * 0.5   # already feasible
+        shrunk = ratio_shrink(P, X)
+        assert shrunk.shape == X.shape
+        assert shrunk.tobytes() == _shrink_rows(P, X).tobytes()
+        assert np.array_equal(shrunk[1], X[1]) and np.array_equal(shrunk[0], X[0])
+        assert all(feasibility_residual(P, row) <= 1e-9 for row in shrunk)
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_ratio_shrink_stack_rejects_a_negative_entry_in_any_row(row):
+    X = np.full((5, 2), 0.25)
+    X[row, 1] = -1e-300
+    with pytest.raises(ValueError, match="nonnegative"):
+        ratio_shrink(SIMPLEX, X)
+
+
+@pytest.mark.parametrize("X", [np.ones((3, 3)), np.ones((2, 2, 2)), [[0.5, np.nan]]])
+def test_ratio_shrink_stack_rejects_a_bad_stack(X):
+    with pytest.raises(ValueError, match="stack|non-finite"):
+        ratio_shrink(SIMPLEX, X)
 
 
 def test_ratio_shrink_always_feasible():
