@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain, SolverTrace,
-                   check_positive_int, eval_batch)
+                   as_point, check_positive_int, eval_batch)
 from .geometry import (feasibility_residual, hit_and_run, project_box,
                        project_polytope, ratio_shrink)
 from .solvers import CONCAVE_MODE, maximize_1d
@@ -50,7 +50,7 @@ def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
     trace = SolverTrace(meta={"algorithm": "proj_grad", "step": step})
     trace.append(0, 0.0, f.value(x), feasibility_residual(domain, x))
     for k in range(1, iters + 1):
-        x = project(x + step * f.gradient(x))
+        x = project(x + step * as_point(f.gradient(x), f.dimension))
         trace.append(k, k / iters, f.value(x), feasibility_residual(domain, x))
     return x, f.value(x), trace
 

@@ -133,9 +133,13 @@ class ObjectiveHandle:
 
 
 def eval_batch(f: ObjectiveHandle, X: Array) -> Array:
-    """Values of ``f`` on the rows of X, as one ``value_batch`` call."""
+    """Values of ``f`` on the rows of X: one ``value_batch`` call, checked to
+    return a 1-D array of one value per row."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.asarray(f.value_batch(X), dtype=float)
+    values = np.asarray(f.value_batch(X), dtype=float)
+    if values.shape != X.shape[:1]:
+        raise ValueError(f"value_batch of {f.name!r} gave shape {values.shape} for {len(X)} rows")
+    return values
 
 
 class TraceRecord(NamedTuple):

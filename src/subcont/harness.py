@@ -1,6 +1,10 @@
 """Experiment orchestration: instance building, the grid brute-force oracle,
 method dispatch, and CSV/JSON emission.
 
+Two tables drive a sweep: ``_EXPERIMENTS`` (per experiment: domain kind, data
+use, default methods, build function) and ``_METHODS`` (per method: domain,
+call).  A cell has one ``PolytopeDomain``, without rows on a box.
+
 Layout of an output directory:
   manifest.json           run recipe (written before any result file)
   traces/<method>__sweep<value>__seed<seed>.csv
@@ -17,6 +21,7 @@ import json
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,21 +36,6 @@ from .solvers import (CONCAVE_MODE, DGConfig, FWConfig, QUADRATIC_MODE,
 from .zoo import (BipartiteInfluenceInstance, RevenueInstance, balanced_revenue,
                   gen_bipartite_influence, gen_monotone_nqp,
                   gen_nonmonotone_nqp, gen_revenue)
-
-# The experiments and the methods each runs by default.
-_DEFAULT_METHODS = {
-    "monotone_nqp": ["frank_wolfe", "random", "random_cube", "proj_grad"],
-    "budget_allocation": ["frank_wolfe", "random", "random_cube", "proj_grad"],
-    "nonmonotone_nqp": ["double_greedy", "random_cube", "single_greedy", "proj_grad"],
-    "revenue": ["double_greedy", "random_cube", "single_greedy"],
-}
-
-# The context key of the domain each method runs on and returns a point of.
-# Box methods need an experiment whose instance lives on a box.
-_METHOD_DOMAIN = {
-    "frank_wolfe": "polytope", "random": "polytope", "random_cube": "polytope",
-    "proj_grad": "polytope", "double_greedy": "box", "single_greedy": "box",
-}
 
 TRACE_HEADER = "iteration,t,objective,feasibility_residual"
 
@@ -67,9 +57,14 @@ class ExperimentConfig:
     grid_points: int = 51
 
     def validate(self) -> None:
-        if self.experiment not in _DEFAULT_METHODS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
-                             f"choose from {list(_DEFAULT_METHODS)}")
+                             f"choose from {list(_EXPERIMENTS)}")
+        if self.data_path:
+            if not _EXPERIMENTS[self.experiment].reads_data:
+                raise ValueError(f"{self.experiment} reads no data file, got {self.data_path!r}")
+            if not Path(self.data_path).is_file():
+                raise ValueError(f"data_path {self.data_path!r} is not a file")
         check_positive_int("instance size n", self.n)
         check_positive_int("constraint count m", self.m)
         check_positive_int("grid_points", self.grid_points)
@@ -88,10 +83,9 @@ class ExperimentConfig:
         if not methods:
             raise ValueError("need at least one method")
         for m in methods:
-            if m not in _METHOD_DOMAIN:
-                raise ValueError(f"unknown method {m!r}; choose from {list(_METHOD_DOMAIN)}")
-            if _METHOD_DOMAIN[m] == "box" and \
-                    self.experiment in ("monotone_nqp", "budget_allocation"):
+            if m not in _METHODS:
+                raise ValueError(f"unknown method {m!r}; choose from {list(_METHODS)}")
+            if _METHODS[m].domain == "box" and _EXPERIMENTS[self.experiment].domain != "box":
                 raise ValueError(f"{m} needs a box-constrained experiment")
         if not all(math.isfinite(s) and s > 0 for s in self.steps):
             raise ValueError(f"proj_grad steps must be finite and positive, got {self.steps}")
@@ -105,7 +99,7 @@ class ExperimentConfig:
 
     def resolved_methods(self) -> list[str]:
         return list(self.methods) if self.methods is not None \
-            else list(_DEFAULT_METHODS[self.experiment])
+            else list(_EXPERIMENTS[self.experiment].methods)
 
 
 def _reject_collisions(what: str, values, name) -> None:
@@ -128,8 +122,7 @@ class ResultRecord:
     wall_time: float
 
 
-def load_bipartite_tsv(path, alpha: float = 1.0, beta: float = 1.0,
-                       gamma: float = 1.0, u_scale: float = 1.0):
+def load_bipartite_tsv(path, u_scale: float = 1.0):
     """Parse a ``# kind=influence|revenue`` edge list with lines
     ``source<TAB>target<TAB>weight``.
 
@@ -207,8 +200,8 @@ def load_bipartite_tsv(path, alpha: float = 1.0, beta: float = 1.0,
     for t, w in self_act.items():
         sa[t] = w
     try:
-        return balanced_revenue(W, sa, np.full(n, float(u_scale)), alpha, beta, gamma,
-                                meta={"node_index": node_ids, "path": str(path)})
+        return balanced_revenue(W, sa, np.full(n, float(u_scale)), alpha=1.0, beta=1.0,
+                                gamma=1.0, meta={"node_index": node_ids, "path": str(path)})
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -282,83 +275,93 @@ def _subseed(seed: int, tag: int) -> int:
     return (seed * 1_000_003 + tag) % (2 ** 63)
 
 
-def _box_polytope(box: BoxDomain) -> PolytopeDomain:
-    if np.any(box.lower != 0):
-        raise ValueError("sampling baselines need a box anchored at the origin")
-    n = box.dimension
-    return PolytopeDomain(np.zeros((0, n)), np.zeros(0), box.upper.copy())
+def _monotone_nqp(cfg: ExperimentConfig, seed: int, sweep: float):
+    inst, P0 = gen_monotone_nqp(cfg.n, cfg.m, seed)
+    P = PolytopeDomain(P0.A, np.full(cfg.m, sweep), P0.upper)
+    return inst, inst.handle(P.box()), P, QUADRATIC_MODE
+
+
+def _nonmonotone_nqp(cfg: ExperimentConfig, seed: int, sweep: float):
+    inst, box = gen_nonmonotone_nqp(cfg.n, seed, u_scale=sweep)
+    return inst, inst.handle(box), PolytopeDomain([], [], box.upper), QUADRATIC_MODE
+
+
+def _budget_allocation(cfg: ExperimentConfig, seed: int, sweep: float):
+    inst = load_bipartite_tsv(cfg.data_path) if cfg.data_path else \
+        gen_bipartite_influence(cfg.n, 2 * cfg.n, 4 * cfg.n, seed)
+    if not isinstance(inst, BipartiteInfluenceInstance):
+        raise ValueError("budget_allocation needs an influence edge list")
+    n = inst.dimension
+    A = np.random.default_rng(_subseed(seed, 77)).uniform(0.5, 1.5, size=(1, n))
+    return inst, inst.handle(), PolytopeDomain(A, [0.25 * n * sweep], np.ones(n)), CONCAVE_MODE
+
+
+def _revenue(cfg: ExperimentConfig, seed: int, sweep: float):
+    inst = load_bipartite_tsv(cfg.data_path, u_scale=sweep) if cfg.data_path else \
+        gen_revenue(cfg.n, 3 * cfg.n, seed, u_scale=sweep)
+    if not isinstance(inst, RevenueInstance):
+        raise ValueError("revenue needs a revenue edge list")
+    return inst, inst.handle(), PolytopeDomain([], [], inst.upper), REVENUE_MODE
+
+
+# Each experiment: the domain of its instances ("polytope", or "box": a polytope
+# without rows), whether it reads a set ``data_path``, its default methods, and
+# its build function (cfg, seed, sweep) -> (instance, handle, polytope, mode).
+_Experiment = namedtuple("_Experiment", "domain reads_data methods build")
+_EXPERIMENTS = {
+    "monotone_nqp": _Experiment("polytope", False, [
+        "frank_wolfe", "random", "random_cube", "proj_grad"], _monotone_nqp),
+    "budget_allocation": _Experiment("polytope", True, [
+        "frank_wolfe", "random", "random_cube", "proj_grad"], _budget_allocation),
+    "nonmonotone_nqp": _Experiment("box", False, [
+        "double_greedy", "random_cube", "single_greedy", "proj_grad"], _nonmonotone_nqp),
+    "revenue": _Experiment("box", True, [
+        "double_greedy", "random_cube", "single_greedy"], _revenue),
+}
 
 
 def _build_instance(cfg: ExperimentConfig, seed: int, sweep: float) -> dict:
     """Instance context for one (seed, sweep) cell: handle, domains, 1-D mode."""
-    if cfg.experiment == "monotone_nqp":
-        inst, P0 = gen_monotone_nqp(cfg.n, cfg.m, seed)
-        P = PolytopeDomain(P0.A, np.full(cfg.m, sweep), P0.upper)
-        return {"handle": inst.handle(P.box()), "polytope": P, "box": P.box(),
-                "mode": QUADRATIC_MODE, "oracle_domain": P, "instance": inst}
-    if cfg.experiment == "nonmonotone_nqp":
-        inst, box = gen_nonmonotone_nqp(cfg.n, seed, u_scale=sweep)
-        return {"handle": inst.handle(box), "polytope": _box_polytope(box),
-                "box": box, "mode": QUADRATIC_MODE, "oracle_domain": box,
-                "instance": inst}
-    if cfg.experiment == "budget_allocation":
-        if cfg.data_path:
-            inst = load_bipartite_tsv(cfg.data_path)
-            if not isinstance(inst, BipartiteInfluenceInstance):
-                raise ValueError("budget_allocation needs an influence edge list")
-        else:
-            inst = gen_bipartite_influence(cfg.n, 2 * cfg.n, 4 * cfg.n, seed)
-        n = inst.dimension
-        rng = np.random.default_rng(_subseed(seed, 77))
-        A = rng.uniform(0.5, 1.5, size=(1, n))
-        P = PolytopeDomain(A, np.array([0.25 * n * sweep]), np.ones(n))
-        return {"handle": inst.handle(), "polytope": P, "box": P.box(),
-                "mode": CONCAVE_MODE, "oracle_domain": P, "instance": inst}
-    if cfg.experiment == "revenue":
-        if cfg.data_path:
-            inst = load_bipartite_tsv(cfg.data_path, u_scale=sweep)
-            if not isinstance(inst, RevenueInstance):
-                raise ValueError("revenue needs a revenue edge list")
-        else:
-            inst = gen_revenue(cfg.n, 3 * cfg.n, seed, u_scale=sweep)
-        box = inst.box()
-        return {"handle": inst.handle(), "polytope": _box_polytope(box),
-                "box": box, "mode": REVENUE_MODE, "oracle_domain": box,
-                "instance": inst}
-    raise ValueError(f"no instance builder for {cfg.experiment!r}")
+    inst, handle, P, mode = _EXPERIMENTS[cfg.experiment].build(cfg, seed, sweep)
+    return {"handle": handle, "polytope": P, "box": P.box(), "mode": mode, "instance": inst}
 
 
-def _single_row_trace(value: float, domain, x) -> SolverTrace:
-    trace = SolverTrace()
-    trace.append(0, 0.0, value, feasibility_residual(domain, x))
-    return trace
+# Each method: the ctx key of the domain it runs on, and its call (ctx, cfg, seed,
+# step) -> (x, trace), or (x, value) for a sampler.  The calls name the solvers at
+# call time, so a solver swapped on this module (as the benchmark's tracer does) runs.
+_Method = namedtuple("_Method", "domain call")
+_METHODS = {
+    "frank_wolfe": _Method("polytope", lambda ctx, cfg, seed, step: frank_wolfe_variant(
+        ctx["handle"], ctx["polytope"], FWConfig(K=cfg.K))),
+    "random": _Method("polytope", lambda ctx, cfg, seed, step: random_best_of(
+        ctx["handle"], ctx["polytope"], cfg.k_s, _subseed(seed, 11))),
+    "random_cube": _Method("polytope", lambda ctx, cfg, seed, step: random_cube_baseline(
+        ctx["handle"], ctx["polytope"], cfg.k_s, _subseed(seed, 13))),
+    # proj_grad_ascent returns (x, value, trace) and double_greedy (x, trace_x,
+    # trace_y); a polytope without rows is a box, where the projection is a clip
+    "proj_grad": _Method("polytope", lambda ctx, cfg, seed, step: proj_grad_ascent(
+        ctx["handle"], ctx["polytope"] if ctx["polytope"].num_rows else ctx["box"],
+        step, cfg.K)[::2]),
+    "double_greedy": _Method("box", lambda ctx, cfg, seed, step: double_greedy(
+        ctx["handle"], ctx["box"], DGConfig(seed=_subseed(seed, 5), mode=ctx["mode"]))[:2]),
+    "single_greedy": _Method("box", lambda ctx, cfg, seed, step: single_greedy(
+        ctx["handle"], ctx["box"], mode=ctx["mode"])),
+}
 
 
 def _run_method(method: str, ctx: dict, cfg: ExperimentConfig,
                 seed: int) -> tuple[Array, SolverTrace]:
     """Run one of ``_expand_methods(cfg)`` on a cell."""
-    runs = {name: step for name, _, step in _method_runs(cfg)}
+    runs = {name: (base, step) for name, base, step in _method_runs(cfg)}
     if method not in runs:
         raise ValueError(f"unknown method {method!r}")
-    handle = ctx["handle"]
-    if method == "frank_wolfe":
-        return frank_wolfe_variant(handle, ctx["polytope"], FWConfig(K=cfg.K))
-    if method == "double_greedy":
-        dg = DGConfig(seed=_subseed(seed, 5), mode=ctx["mode"])
-        x, trace_x, _ = double_greedy(handle, ctx["box"], dg)
-        return x, trace_x
-    if method == "random":
-        x, v = random_best_of(handle, ctx["polytope"], cfg.k_s, _subseed(seed, 11))
-        return x, _single_row_trace(v, ctx["polytope"], x)
-    if method == "random_cube":
-        x, v = random_cube_baseline(handle, ctx["polytope"], cfg.k_s, _subseed(seed, 13))
-        return x, _single_row_trace(v, ctx["polytope"], x)
-    if method == "single_greedy":
-        x, v = single_greedy(handle, ctx["box"], mode=ctx["mode"])
-        return x, _single_row_trace(v, ctx["box"], x)
-    # the rest are the proj_grad runs, each with its own step
-    domain = ctx["polytope"] if ctx["polytope"].num_rows else ctx["box"]
-    x, _, trace = proj_grad_ascent(handle, domain, runs[method], cfg.K)
+    base, step = runs[method]
+    domain, call = _METHODS[base]
+    x, out = call(ctx, cfg, seed, step)
+    if isinstance(out, SolverTrace):
+        return x, out
+    trace = SolverTrace()
+    trace.append(0, 0.0, out, feasibility_residual(ctx[domain], x))
     return x, trace
 
 
@@ -448,15 +451,14 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
         for seed in cfg.seeds:
             ctx = _build_instance(cfg, seed, sweep)
             if cfg.grid_oracle:
-                _, f_star = grid_brute_force(ctx["handle"], ctx["oracle_domain"],
+                _, f_star = grid_brute_force(ctx["handle"], ctx["polytope"],
                                              cfg.grid_points)
                 oracle.setdefault(f"{sweep:g}", {})[str(seed)] = f_star
             for method, base, _ in runs:
                 start = time.perf_counter()
                 x, trace = _run_method(method, ctx, cfg, seed)
                 elapsed = time.perf_counter() - start
-                dom = ctx[_METHOD_DOMAIN[base]]
-                if feasibility_residual(dom, x) > 1e-6:
+                if feasibility_residual(ctx[_METHODS[base].domain], x) > 1e-6:
                     raise RuntimeError(f"{method} returned an infeasible point")
                 tpath = traces_dir / f"{method}__sweep{sweep:g}__seed{seed}.csv"
                 write_trace_csv(tpath, trace)

@@ -12,8 +12,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import (Array, BoxDomain, ObjectiveHandle, as_point, eval_batch,
-                   finite_diff_gradient)
+from .core import (Array, BoxDomain, ObjectiveHandle, as_point, check_positive_int,
+                   eval_batch, finite_diff_gradient)
 
 DEFAULT_TOL = 1e-9
 
@@ -56,8 +56,7 @@ def _report(checker: str, violations: Array, witnesses, trials: int,
 def check_submodular(f: ObjectiveHandle, domain: BoxDomain, pairs: int = 200,
                      tol: float = DEFAULT_TOL, seed: int = 0) -> PropertyReport:
     """Certify f(x) + f(y) >= f(x v y) + f(x ^ y) on sampled pairs."""
-    if pairs < 1:
-        raise ValueError("need pairs >= 1")
+    check_positive_int("pairs", pairs)
     rng = np.random.default_rng(seed)
     X = domain.sample(rng, pairs)
     Y = domain.sample(rng, pairs)
@@ -87,8 +86,7 @@ def check_weak_dr(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
                   tol: float = DEFAULT_TOL, seed: int = 0) -> PropertyReport:
     """Diminishing returns restricted to coordinates where the base points agree:
     for a <= b with a_i = b_i, the gain of a step k along i is no larger at b."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    check_positive_int("trials", trials)
     rng = np.random.default_rng(seed)
     A, B = _ordered_pair(rng, domain, trials)
     idx = rng.integers(domain.dimension, size=trials)
@@ -107,8 +105,7 @@ def check_dr(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
              tol: float = DEFAULT_TOL, seed: int = 0) -> PropertyReport:
     """Unrestricted diminishing returns: for any a <= b, the gain of a step k
     along any coordinate is no larger at b than at a."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    check_positive_int("trials", trials)
     rng = np.random.default_rng(seed)
     A, B = _ordered_pair(rng, domain, trials)
     idx = rng.integers(domain.dimension, size=trials)
@@ -124,8 +121,7 @@ def check_coordinatewise_concave(f: ObjectiveHandle, domain: BoxDomain,
                                  seed: int = 0) -> PropertyReport:
     """Concavity of every single-coordinate restriction, via the three-point
     inequality f(x + k e_i) - f(x) >= f(x + (k+l) e_i) - f(x + l e_i)."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    check_positive_int("trials", trials)
     rng = np.random.default_rng(seed)
     X = domain.sample(rng, trials)
     idx = rng.integers(domain.dimension, size=trials)
@@ -148,8 +144,7 @@ def check_coordinatewise_concave(f: ObjectiveHandle, domain: BoxDomain,
 def check_monotone(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
                    tol: float = DEFAULT_TOL, seed: int = 0) -> PropertyReport:
     """Certify f(b) >= f(a) for sampled a <= b."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    check_positive_int("trials", trials)
     rng = np.random.default_rng(seed)
     A, B = _ordered_pair(rng, domain, trials)
     viol = eval_batch(f, A) - eval_batch(f, B)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
-                   SolverTrace, as_point, check_positive_int)
+                   SolverTrace, as_point, check_positive_int, eval_batch)
 from .geometry import LPSolution, feasibility_residual, linear_maximize, still_optimal
 
 QUADRATIC_MODE = "quadratic_closed_form"
@@ -249,7 +249,7 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
         for r, z in pending:
             X[r, j] = z
         rows = X if len(pending) == k else X[[r for r, _ in pending]]
-        values = np.asarray(f.value_batch(rows), dtype=float).tolist()
+        values = eval_batch(f, rows).tolist()
         probed, pending = pending, []
         for (r, z), v in zip(probed, values):
             if not math.isfinite(v):

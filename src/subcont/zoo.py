@@ -226,9 +226,8 @@ class BipartiteInfluenceInstance(_Family):
 
 
 def gen_bipartite_influence(n_channels: int, n_customers: int, n_edges: int,
-                            seed: int, p_lo: float = 0.02,
-                            p_hi: float = 0.3) -> BipartiteInfluenceInstance:
-    """Random bipartite influence instance with uniform edge probabilities."""
+                            seed: int) -> BipartiteInfluenceInstance:
+    """Random bipartite influence instance, edge probabilities uniform on [0.02, 0.3]."""
     rng = np.random.default_rng(seed)
     all_pairs = n_channels * n_customers
     n_edges = min(n_edges, all_pairs)
@@ -236,7 +235,7 @@ def gen_bipartite_influence(n_channels: int, n_customers: int, n_edges: int,
     probs = {}
     for flat in np.sort(chosen):
         s, t = divmod(int(flat), n_customers)
-        probs[(s, t)] = float(rng.uniform(p_lo, p_hi))
+        probs[(s, t)] = float(rng.uniform(0.02, 0.3))
     return BipartiteInfluenceInstance(n_channels, n_customers, probs,
                                       meta={"generator": "bipartite_influence", "seed": seed})
 
@@ -418,11 +417,10 @@ class SensorInstance(_Family):
             dr_submodular=True, differentiable=True, name="sensor")
 
 
-def gen_sensor(n_locations: int, n_events: int, seed: int, p: float = 0.5,
-               t_max: float = 10.0) -> SensorInstance:
+def gen_sensor(n_locations: int, n_events: int, seed: int) -> SensorInstance:
     rng = np.random.default_rng(seed)
-    times = rng.uniform(0.0, t_max, size=(n_locations, n_events))
-    return SensorInstance(times=times, p=p, t_inf=t_max,
+    times = rng.uniform(0.0, 10.0, size=(n_locations, n_events))
+    return SensorInstance(times=times, p=0.5, t_inf=10.0,
                           meta={"generator": "sensor", "seed": seed})
 
 

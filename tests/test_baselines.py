@@ -138,3 +138,11 @@ def test_baselines_feasible_on_random_instances():
                      random_cube_baseline(h, P, 20, seed),
                      single_greedy(h, box, mode=QUADRATIC_MODE)):
             assert feasibility_residual(P, x) <= 1e-9
+
+
+def test_proj_grad_rejects_a_scalar_gradient():
+    # a scalar would broadcast over every coordinate of the step
+    f = scalar_handle(2, lambda x: float(np.sum(x)), gradient=lambda x: 1.0,
+                      differentiable=True)
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 1"):
+        proj_grad_ascent(f, BoxDomain([0, 0], [1, 1]), 0.1, 3)

@@ -85,3 +85,16 @@ def test_cli_rejects_a_negative_seed_base(tmp_path, capsys):
     assert code == 1
     assert "error: seed -3 must be a non-negative int" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, message", [
+    ("monotone_nqp", "error: monotone_nqp reads no data file, got 'nope.tsv'"),
+    ("budget_allocation", "error: data_path 'nope.tsv' is not a file"),
+])
+def test_cli_rejects_a_data_file_it_cannot_use(tmp_path, capsys, experiment, message):
+    out = tmp_path / "data"
+    code = main(["run", "--experiment", experiment, "--n", "3", "--data", "nope.tsv",
+                 "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

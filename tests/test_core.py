@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from subcont import (BoxDomain, ObjectiveHandle, PolytopeDomain, QuadraticInstance,
-                     SolverTrace, feasibility_residual, finite_diff_gradient)
+                     SolverTrace, check_monotone, feasibility_residual,
+                     finite_diff_gradient, grid_brute_force, maximize_1d, random_best_of,
+                     random_cube_baseline)
+from subcont.solvers import CONCAVE_MODE
 
 
 def test_lattice_join_meet_ordering_and_identity():
@@ -107,3 +110,25 @@ def test_trace_invariants():
     tr.append(2, 1.0, 3.0, 0.0)
     assert tr.final_objective == 3.0
     assert len(tr) == 3
+
+
+@pytest.mark.parametrize("kind", ["short", "long", "column"])
+def test_every_batch_caller_names_a_bad_value_batch(kind):
+    # k - 1 values, k + 1 values or a (k, 1) column must not be taken silently
+    # or fail unlocated: every caller evaluates through eval_batch
+    def value_batch(X):
+        v = X.sum(axis=1)
+        return {"short": v[:-1], "long": np.append(v, 0.0), "column": v[:, None]}[kind]
+
+    f = ObjectiveHandle(3, lambda x: float(np.sum(x)), value_batch, name=kind)
+    box = BoxDomain(np.zeros(3), np.ones(3))
+    P = PolytopeDomain([[1.0, 1.0, 1.0]], [1.0], np.ones(3))
+    calls = [lambda: grid_brute_force(f, box, 3),
+             lambda: maximize_1d(f, np.zeros((2, 3)), 0, 0.0, 1.0, CONCAVE_MODE),
+             lambda: random_best_of(f, P, 5, 0),
+             lambda: random_cube_baseline(f, P, 5, 0),
+             lambda: check_monotone(f, box, 5)]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"value_batch of '{kind}' gave shape "
+                                             rf"\(\d+(, 1)?,?\) for \d+ rows"):
+            call()

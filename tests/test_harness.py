@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -68,9 +69,10 @@ def test_load_tsv_malformed_line_numbered(tmp_path):
 
 
 def test_load_revenue_tsv_balances_gamma_with_a_located_error(tmp_path):
-    p = _write(tmp_path, "# kind=revenue\ns\tt\t1.0\ns\ts\t0.5\n")
-    inst = load_bipartite_tsv(p, gamma=4.0)
-    assert inst.meta["gamma_halvings"] == 4 and inst.gamma == 0.25
+    # gamma starts at 1; f(0) + f(upper) >= 0 needs 0.125 - 2 gamma >= 0
+    p = _write(tmp_path, "# kind=revenue\ns\tt\t1.0\ns\ts\t0.125\n")
+    inst = load_bipartite_tsv(p)
+    assert inst.meta["gamma_halvings"] == 4 and inst.gamma == 0.0625
     # no self-activation: gamma cannot shrink fast enough against a huge box
     p2 = _write(tmp_path, "# kind=revenue\ns\tt\t1.0\n", "unbalanced.tsv")
     with pytest.raises(ValueError, match=r"unbalanced\.tsv: cannot balance"):
@@ -310,6 +312,38 @@ def test_rerun_reproduces_byte_identical_csvs(tmp_path):
     assert s1 == s2
 
 
+# One tiny sweep per experiment, with every method that runs on it and the
+# grid oracle on: the sha256 of its trace CSVs (in name order, each with its
+# name) and summary.json.  Recorded before the method and experiment tables
+# replaced the per-method dispatch, which was to change no output.
+_SWEEP_DIGESTS = {
+    "monotone_nqp": (dict(n=3, m=2), ["frank_wolfe", "random", "random_cube", "proj_grad"],
+                     "0be7e673fd47d248125a4e54fc938189720f1672a8cb59e00d868d078c81b5ae"),
+    "budget_allocation": (dict(n=3), ["frank_wolfe", "random", "random_cube", "proj_grad"],
+                          "8bb7113c54a46e594c9e9934947ef97c68248ed2d5142e09a91d97ba0cb54c12"),
+    "nonmonotone_nqp": (dict(n=4), ["double_greedy", "single_greedy", "random", "random_cube",
+                                    "proj_grad"],
+                        "b4fdfb6e97543db352d6b176f73301f456908418c8c351d66ebab5de19162abe"),
+    "revenue": (dict(n=4), ["double_greedy", "single_greedy", "random", "random_cube"],
+                "7bc8e0ea3c3109ef824e7c8a6185b0518e846c82c2d29b15b16d7fb4c2811552"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_SWEEP_DIGESTS))
+def test_tiny_sweep_outputs_are_pinned(tmp_path, experiment):
+    size, methods, expected = _SWEEP_DIGESTS[experiment]
+    out = tmp_path / experiment
+    run_experiment(ExperimentConfig(experiment=experiment, seeds=[0, 1], sweep=[0.5, 1.0],
+                                    K=5, k_s=20, steps=[1e-2, 1e-1], methods=methods,
+                                    grid_oracle=True, grid_points=11, output_dir=str(out),
+                                    **size))
+    h = hashlib.sha256()
+    for p in sorted((out / "traces").glob("*.csv")) + [out / "summary.json"]:
+        h.update(p.name.encode())
+        h.update(p.read_bytes())
+    assert h.hexdigest() == expected
+
+
 def test_failed_run_marks_manifest_and_keeps_outputs(tmp_path, monkeypatch):
     cfg = _tiny_cfg(tmp_path)
     import subcont.harness as hz
@@ -514,6 +548,23 @@ def test_read_trace_csv_errors_are_located(tmp_path):
         read_trace_csv(p)
     p.write_text(f"{TRACE_HEADER}\n0,0,1.5,0\n")
     assert read_trace_csv(p) == [(0, 0.0, 1.5, 0.0)]
+
+
+@pytest.mark.parametrize("experiment, data, message", [
+    ("monotone_nqp", "edges.tsv", "monotone_nqp reads no data file, got '.*edges.tsv'"),
+    ("nonmonotone_nqp", "edges.tsv", "nonmonotone_nqp reads no data file"),
+    ("budget_allocation", "missing.tsv", "data_path '.*missing.tsv' is not a file"),
+    ("revenue", ".", "data_path '.*' is not a file"),
+])
+def test_validate_names_a_data_path_it_cannot_use(tmp_path, experiment, data, message):
+    # a generated experiment would ignore the file, and a missing one would end
+    # the sweep with an unlocated FileNotFoundError after the manifest
+    _write(tmp_path, "# kind=influence\na\tb\t0.5\n")
+    cfg = _tiny_cfg(tmp_path, experiment=experiment, methods=["random_cube"],
+                    data_path=str(tmp_path / data))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_data_path_experiment(tmp_path):

@@ -245,3 +245,11 @@ def test_dr_equals_submodular_plus_coordinatewise_concave():
         sub = check_submodular(h, box, 300, seed=seed).ok
         cc = check_coordinatewise_concave(h, box, 300, seed=seed).ok
         assert dr == (sub and cc)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKERS))
+@pytest.mark.parametrize("trials", [0, 2.5, True])
+def test_checkers_name_a_bad_trial_count(name, trials):
+    # a float or bool count must fail by name, not as a numpy TypeError
+    with pytest.raises(ValueError, match=f"must be a positive int, got {trials!r}"):
+        CHECKERS[name](BILINEAR, UNIT_BOX, trials)
