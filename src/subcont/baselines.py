@@ -50,7 +50,12 @@ def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
     trace = SolverTrace(meta={"algorithm": "proj_grad", "step": step})
     trace.append(0, 0.0, f.value(x), feasibility_residual(domain, x))
     for k in range(1, iters + 1):
-        x = project(x + step * as_point(f.gradient(x), f.dimension))
+        try:
+            grad = as_point(f.gradient(x), f.dimension)
+        except ValueError as e:
+            raise ValueError(f"proj_grad: gradient of {f.name!r} failed at "
+                             f"iteration {k}: {e}") from e
+        x = project(x + step * grad)
         trace.append(k, k / iters, f.value(x), feasibility_residual(domain, x))
     return x, f.value(x), trace
 

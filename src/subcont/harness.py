@@ -6,20 +6,23 @@ use, default methods, build function) and ``_METHODS`` (per method: domain,
 call).  A cell has one ``PolytopeDomain``, without rows on a box.
 
 Layout of an output directory:
-  manifest.json           run recipe (written before any result file)
+  manifest.json           run recipe and environment (written before any
+                          result file)
   traces/<method>__sweep<value>__seed<seed>.csv
   summary.json            per-method mean/std of final values per sweep point
-  results.json            per-run records including wall time
+  results.json            per-run records including wall and CPU time
 
 Re-running with the same configuration reproduces byte-identical CSVs; trace
 CSV header is exactly ``iteration,t,objective,feasibility_residual``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import numbers
+import os
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -33,7 +36,7 @@ from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
 from .geometry import feasibility_residual
 from .solvers import (CONCAVE_MODE, DGConfig, FWConfig, QUADRATIC_MODE,
                       REVENUE_MODE, double_greedy, frank_wolfe_variant)
-from .zoo import (BipartiteInfluenceInstance, RevenueInstance, balanced_revenue,
+from .zoo import (BipartiteInfluenceInstance, balanced_revenue,
                   gen_bipartite_influence, gen_monotone_nqp,
                   gen_nonmonotone_nqp, gen_revenue)
 
@@ -60,11 +63,13 @@ class ExperimentConfig:
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {list(_EXPERIMENTS)}")
+        dimension = self.n
         if self.data_path:
-            if not _EXPERIMENTS[self.experiment].reads_data:
+            if _EXPERIMENTS[self.experiment].data is None:
                 raise ValueError(f"{self.experiment} reads no data file, got {self.data_path!r}")
             if not Path(self.data_path).is_file():
                 raise ValueError(f"data_path {self.data_path!r} is not a file")
+            dimension = _load_data(self).dimension
         check_positive_int("instance size n", self.n)
         check_positive_int("constraint count m", self.m)
         check_positive_int("grid_points", self.grid_points)
@@ -92,10 +97,10 @@ class ExperimentConfig:
         if not self.steps and "proj_grad" in methods:
             raise ValueError("proj_grad needs at least one step size")
         _reject_collisions("methods", _expand_methods(self), str)
-        if self.grid_oracle:
-            if self.n > 6 or self.grid_points ** self.n > 1e8:
-                raise ValueError("grid oracle guard: needs n <= 6 and "
-                                 "grid_points^n <= 1e8")
+        if self.grid_oracle and (dimension > 6 or self.grid_points ** dimension > 1e8):
+            where = f"{self.data_path}: the file gives n = {dimension}; " if self.data_path else ""
+            raise ValueError(f"{where}grid oracle guard: needs n <= 6 and "
+                             "grid_points^n <= 1e8")
 
     def resolved_methods(self) -> list[str]:
         return list(self.methods) if self.methods is not None \
@@ -120,6 +125,7 @@ class ResultRecord:
     final_value: float
     trace_path: str
     wall_time: float
+    cpu_time: float
 
 
 def load_bipartite_tsv(path, u_scale: float = 1.0):
@@ -286,36 +292,44 @@ def _nonmonotone_nqp(cfg: ExperimentConfig, seed: int, sweep: float):
     return inst, inst.handle(box), PolytopeDomain([], [], box.upper), QUADRATIC_MODE
 
 
+def _load_data(cfg: ExperimentConfig, u_scale: float = 1.0):
+    """The instance in ``cfg.data_path``, which must be of the experiment's kind."""
+    inst = load_bipartite_tsv(cfg.data_path, u_scale=u_scale)
+    kind = "influence" if isinstance(inst, BipartiteInfluenceInstance) else "revenue"
+    want = _EXPERIMENTS[cfg.experiment].data
+    if kind != want:
+        raise ValueError(f"{cfg.data_path}: {cfg.experiment} needs a '# kind={want}' "
+                         f"edge list, got '# kind={kind}'")
+    return inst
+
+
 def _budget_allocation(cfg: ExperimentConfig, seed: int, sweep: float):
-    inst = load_bipartite_tsv(cfg.data_path) if cfg.data_path else \
+    inst = _load_data(cfg) if cfg.data_path else \
         gen_bipartite_influence(cfg.n, 2 * cfg.n, 4 * cfg.n, seed)
-    if not isinstance(inst, BipartiteInfluenceInstance):
-        raise ValueError("budget_allocation needs an influence edge list")
     n = inst.dimension
     A = np.random.default_rng(_subseed(seed, 77)).uniform(0.5, 1.5, size=(1, n))
     return inst, inst.handle(), PolytopeDomain(A, [0.25 * n * sweep], np.ones(n)), CONCAVE_MODE
 
 
 def _revenue(cfg: ExperimentConfig, seed: int, sweep: float):
-    inst = load_bipartite_tsv(cfg.data_path, u_scale=sweep) if cfg.data_path else \
+    inst = _load_data(cfg, u_scale=sweep) if cfg.data_path else \
         gen_revenue(cfg.n, 3 * cfg.n, seed, u_scale=sweep)
-    if not isinstance(inst, RevenueInstance):
-        raise ValueError("revenue needs a revenue edge list")
     return inst, inst.handle(), PolytopeDomain([], [], inst.upper), REVENUE_MODE
 
 
 # Each experiment: the domain of its instances ("polytope", or "box": a polytope
-# without rows), whether it reads a set ``data_path``, its default methods, and
-# its build function (cfg, seed, sweep) -> (instance, handle, polytope, mode).
-_Experiment = namedtuple("_Experiment", "domain reads_data methods build")
+# without rows), the kind of edge list a set ``data_path`` must hold (None: it
+# reads no file), its default methods, and its build function
+# (cfg, seed, sweep) -> (instance, handle, polytope, mode).
+_Experiment = namedtuple("_Experiment", "domain data methods build")
 _EXPERIMENTS = {
-    "monotone_nqp": _Experiment("polytope", False, [
+    "monotone_nqp": _Experiment("polytope", None, [
         "frank_wolfe", "random", "random_cube", "proj_grad"], _monotone_nqp),
-    "budget_allocation": _Experiment("polytope", True, [
+    "budget_allocation": _Experiment("polytope", "influence", [
         "frank_wolfe", "random", "random_cube", "proj_grad"], _budget_allocation),
-    "nonmonotone_nqp": _Experiment("box", False, [
+    "nonmonotone_nqp": _Experiment("box", None, [
         "double_greedy", "random_cube", "single_greedy", "proj_grad"], _nonmonotone_nqp),
-    "revenue": _Experiment("box", True, [
+    "revenue": _Experiment("box", "revenue", [
         "double_greedy", "random_cube", "single_greedy"], _revenue),
 }
 
@@ -409,11 +423,38 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _provenance() -> dict:
+    """The python, numpy and scipy versions (scipy's None when it is not
+    installed; it is not imported) and the git commit of the checkout that
+    holds this package (None outside one)."""
+    import importlib.metadata
+    import platform
+    import subprocess
+    try:
+        scipy = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy = None
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+                              capture_output=True, text=True, timeout=10)
+        sha = done.stdout.strip() if done.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy, "git_sha": sha}
+
+
 def _manifest(cfg: ExperimentConfig, status: str, error: str | None = None) -> dict:
     doc = asdict(cfg)
     doc["methods"] = _expand_methods(cfg)
     doc["status"] = status
     doc["error"] = error
+    doc["environment"] = {**_provenance(),
+                          "threads": {v: os.environ.get(v) for v in _THREAD_VARIABLES}}
     return doc
 
 
@@ -455,9 +496,10 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
                                              cfg.grid_points)
                 oracle.setdefault(f"{sweep:g}", {})[str(seed)] = f_star
             for method, base, _ in runs:
-                start = time.perf_counter()
+                start, start_cpu = time.perf_counter(), time.process_time()
                 x, trace = _run_method(method, ctx, cfg, seed)
                 elapsed = time.perf_counter() - start
+                cpu = time.process_time() - start_cpu
                 if feasibility_residual(ctx[_METHODS[base].domain], x) > 1e-6:
                     raise RuntimeError(f"{method} returned an infeasible point")
                 tpath = traces_dir / f"{method}__sweep{sweep:g}__seed{seed}.csv"
@@ -467,7 +509,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
                 records.append(ResultRecord(method=method, instance_seed=seed,
                                             sweep_value=sweep, final_value=final,
                                             trace_path=str(tpath),
-                                            wall_time=elapsed))
+                                            wall_time=elapsed, cpu_time=cpu))
         for method in methods:
             vals = np.array(finals[method])
             summary["methods"][method][f"{sweep:g}"] = {

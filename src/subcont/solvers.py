@@ -107,8 +107,8 @@ def frank_wolfe_variant(
         try:
             grad = as_point(f.gradient(x), P.dimension)
         except ValueError as e:
-            raise SolverAbort(f"gradient evaluation failed at iteration {k}: {e}",
-                              trace) from e
+            raise SolverAbort(f"frank_wolfe: gradient of {f.name!r} failed at "
+                              f"iteration {k}: {e}", trace) from e
         if sol is None or not still_optimal(sol, grad):
             sol = oracle(P, grad)
         # a kept solution's objective belongs to an earlier gradient
@@ -122,14 +122,47 @@ def frank_wolfe_variant(
     return x, trace
 
 
+def _envelope(a: float, c: float, d: float, b: float,
+              fa: float, fc: float, fd: float, fb: float) -> float:
+    """Upper bound on a concave g over [a, b] from its values at a < c < d < b:
+    g lies under every secant extended past its ends.  Infinite when rounding
+    has merged two of the points, as with a tol near the spacing of floats."""
+    if not a < c < d < b:
+        return math.inf
+    s_ac = (fc - fa) / (c - a)
+    s_cd = (fd - fc) / (d - c)
+    s_db = (fb - fd) / (b - d)
+    return max(fc + max(-s_cd, 0.0) * (c - a),
+               min(fc + max(s_ac, 0.0) * (d - c), fd + max(-s_db, 0.0) * (d - c)),
+               fd + max(s_cd, 0.0) * (b - d), fa, fb)
+
+
 def _search(mode: str, j: int, lo: float, hi: float, tol: float):
     """One 1-D search of ``maximize_1d`` as a generator: it yields one probe
     coordinate at a time, is sent the value there, and returns
     (z_best, value_best, gap_bound).
 
-    Golden section keeps the best value actually evaluated (bracket ends
-    included) and bounds the gap by the final bracket width times the
-    steepest slope observed between probes.
+    The searching modes take golden section's probes in golden section's
+    order and keep the best value actually evaluated (bracket ends included).
+    Once the bracket holds probes a < c < d < b, two rules may stop them
+    early:
+
+    * envelope (needs a concave g): g lies under every secant extended past
+      its ends, which bounds g on [a, b] by some U.  The search stops when
+      U - best <= 1e-12 (1 + |best|), with gap U - best plus that allowance.
+      In revenue mode it also stops when U < anchor: the anchor wins, as
+      golden section would find later.
+    * end (unimodality suffices): at most once, when a or b holds the best
+      of the four, one probe tol inside that end.  If the end beats it by
+      more than 1e-12 (1 + |f_end|), the maximum lies within tol of the end
+      and the search stops.
+
+    Otherwise golden section runs down to a bracket of width < tol.  Unless
+    the envelope rule stopped it, the gap is the final bracket width (tol
+    for the end rule) times the steepest slope observed between probes, plus
+    1e-12 (1 + |best|).  The probes are a prefix of golden section's plus at
+    most one end probe, so an endpoint answer is the one golden section
+    returns.
     """
     if hi - lo < 1e-15:
         return lo, (yield lo), 0.0
@@ -159,43 +192,68 @@ def _search(mode: str, j: int, lo: float, hi: float, tol: float):
         return float(z_star), float(value), 0.0
 
     a, b = lo, hi
+    anchor = None
     if mode == REVENUE_MODE:
         eps = 1e-10
         anchor = yield lo   # exact value at the discontinuity (lo is 0 in practice)
         if hi <= lo + eps:
             return lo, anchor, 0.0
         a = max(lo + eps, eps)
-    probes = [(a, (yield a))]
+    fa = yield a
+    probes = [(a, fa)]
     if b > a:
-        probes.append((b, (yield b)))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+        fb = yield b
+        probes.append((b, fb))
+    upper = None   # the envelope bound, once it stopped the search
     if b - a > tol:
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
         fc = yield c
         fd = yield d
         probes.extend([(c, fc), (d, fd)])
+        top = max(fa, fb, fc, fd)
+        end_probed = False
         while b - a > tol:
+            bound = _envelope(a, c, d, b, fa, fc, fd, fb)
+            if anchor is not None and bound < anchor:
+                return lo, anchor, 0.0
+            if bound - top <= 1e-12 * (1.0 + abs(top)):
+                upper = bound
+                break
+            if not end_probed and max(fa, fb) > max(fc, fd):
+                end_probed = True
+                end, f_end, inner = (a, fa, a + tol) if fa >= fb else (b, fb, b - tol)
+                f_inner = yield inner
+                probes.append((inner, f_inner))
+                top = max(top, f_inner)
+                if f_end - f_inner > 1e-12 * (1.0 + abs(f_end)):
+                    a, b = (a, inner) if end == a else (inner, b)
+                    break
             if fc >= fd:
-                b, d, fd = d, c, fc
+                b, fb, d, fd = d, fd, c, fc
                 c = b - _INVPHI * (b - a)
                 fc = yield c
                 probes.append((c, fc))
+                top = max(top, fc)
             else:
-                a, c, fc = c, d, fd
+                a, fa, c, fc = c, fc, d, fd
                 d = a + _INVPHI * (b - a)
                 fd = yield d
                 probes.append((d, fd))
+                top = max(top, fd)
     probes.sort(key=lambda p: p[0])
     zs = np.array([p[0] for p in probes])
     vs = np.array([p[1] for p in probes])
     best = int(np.argmax(vs))
-    if mode == REVENUE_MODE and anchor >= vs[best]:
+    if anchor is not None and anchor >= vs[best]:
         return lo, anchor, 0.0
+    allowance = 1e-12 * (1.0 + abs(vs[best]))
+    if upper is not None:
+        return float(zs[best]), float(vs[best]), float(max(upper - vs[best], 0.0) + allowance)
     dz = np.diff(zs)
     good = dz > 0
     slope = float(np.max(np.abs(np.diff(vs)[good] / dz[good]), initial=0.0))
-    gap = (b - a) * slope + 1e-12 * (1.0 + abs(vs[best]))
-    return float(zs[best]), float(vs[best]), float(gap)
+    return float(zs[best]), float(vs[best]), float((b - a) * slope + allowance)
 
 
 def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
@@ -219,10 +277,19 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
         in x_j (three-point interpolation, vertex vs endpoints); gap 0.  A
         fourth probe at lo + (hi - lo)/4 must lie on the interpolant within
         1e-9 (1 + max |probe value|), else ``ValueError``.
-      * concave_search - golden section to bracket width < tol.
+      * concave_search - golden section to bracket width < tol.  It assumes
+        a concave restriction, as DR-submodular objectives have along every
+        coordinate.
       * revenue_discontinuous - golden section on (eps, hi] for the smooth
         concave extension, then an exact comparison with the value at the
-        discontinuity z = 0.
+        discontinuity z = 0.  Revenue's part on (eps, hi] is concave: square
+        roots of nondecreasing affine inflows, plus a linear term.
+    Both searching modes stop early once their probes settle the answer (see
+    ``_search``): when the concave envelope of the probes is within
+    1e-12 (1 + |best|) of the best value, or, in revenue mode, below the
+    value at z = 0; or when one probe tol inside the best end shows the
+    maximum within tol of it.  Their probes are a prefix of golden section's
+    plus at most one end probe, so an endpoint answer is golden section's.
     A non-finite probe value raises ``ValueError`` naming the row, the
     coordinate and the probe.
     """

@@ -146,3 +146,16 @@ def test_proj_grad_rejects_a_scalar_gradient():
                       differentiable=True)
     with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 1"):
         proj_grad_ascent(f, BoxDomain([0, 0], [1, 1]), 0.1, 3)
+
+
+def test_proj_grad_bad_gradient_names_the_method_the_handle_and_the_iteration():
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        return np.ones(2) if len(calls) < 3 else np.ones(3)
+    f = scalar_handle(2, lambda x: float(np.sum(x)), gradient=gradient,
+                      differentiable=True, name="widening")
+    with pytest.raises(ValueError, match="proj_grad: gradient of 'widening' failed at "
+                                         "iteration 3: dimension mismatch: expected 2, got 3"):
+        proj_grad_ascent(f, BoxDomain([0, 0], [1, 1]), 0.1, 5)

@@ -1,12 +1,20 @@
 import hashlib
+import importlib.metadata
 import itertools
 import json
+import os
+import platform
+import re
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subcont
 from subcont import (BoxDomain, ExperimentConfig, ObjectiveHandle, PolytopeDomain,
                      QuadraticInstance, gen_nonmonotone_nqp, grid_brute_force,
                      load_bipartite_tsv, proj_grad_ascent, read_trace_csv, run_experiment)
@@ -579,3 +587,55 @@ def test_data_path_experiment(tmp_path):
                            methods=["frank_wolfe"], output_dir=str(tmp_path / "fd"))
     records = run_experiment(cfg)
     assert records[0].final_value > 0
+
+
+@pytest.mark.parametrize("experiment, methods, kind, grid, message", [
+    # the guard applies to the file's 8 channels, not to cfg.n = 3
+    ("budget_allocation", ["frank_wolfe"], "influence", True,
+     r"edges.tsv: the file gives n = 8; grid oracle guard"),
+    ("revenue", ["single_greedy"], "influence", False,
+     r"edges.tsv: revenue needs a '# kind=revenue' edge list, got '# kind=influence'"),
+    ("budget_allocation", ["frank_wolfe"], "revenue", False,
+     r"edges.tsv: budget_allocation needs a '# kind=influence' edge list, "
+     r"got '# kind=revenue'"),
+])
+def test_validate_checks_the_data_file_before_the_manifest(tmp_path, experiment, methods,
+                                                           kind, grid, message):
+    edges = "".join(f"s{s}\tc{s % 3}\t0.5\n" for s in range(8))
+    path = _write(tmp_path, f"# kind={kind}\n{edges}")
+    cfg = _tiny_cfg(tmp_path, experiment=experiment, methods=methods, data_path=str(path),
+                    grid_oracle=grid)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_the_environment_and_records_cpu_time(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = _tiny_cfg(tmp_path)
+    run_experiment(cfg)
+    out = Path(cfg.output_dir)
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    try:
+        scipy = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy = None
+    assert env["scipy"] == scipy
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert env["git_sha"] is None or re.fullmatch("[0-9a-f]{40}", env["git_sha"])
+    records = json.loads((out / "results.json").read_text())["records"]
+    assert len(records) == 4 and all(r["cpu_time"] >= 0.0 for r in records)
+
+
+def test_provenance_has_no_git_sha_outside_a_checkout(tmp_path):
+    shutil.copytree(Path(subcont.__file__).parent, tmp_path / "subcont")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from subcont.harness import _provenance; print(_provenance()['git_sha'])"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "None"

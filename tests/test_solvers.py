@@ -1,13 +1,15 @@
 import dataclasses
+import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from subcont import (BoxDomain, DGConfig, FWConfig, LPSolution, ObjectiveHandle,
                      PolytopeDomain, QuadraticInstance, SolverAbort,
-                     double_greedy, frank_wolfe_variant,
+                     double_greedy, frank_wolfe_variant, gen_bipartite_influence,
                      gen_monotone_nqp, gen_nonmonotone_nqp, gen_revenue, grid_brute_force,
-                     largest_abs_eigenvalue, linear_maximize, maximize_1d)
+                     largest_abs_eigenvalue, linear_maximize, maximize_1d, single_greedy)
 from subcont.solvers import CONCAVE_MODE, QUADRATIC_MODE, REVENUE_MODE
 from subcont.zoo import RevenueInstance
 
@@ -177,6 +179,14 @@ def test_fw_aborts_with_partial_trace_on_gradient_failure():
     with pytest.raises(SolverAbort) as exc:
         frank_wolfe_variant(h, _box_polytope(2), FWConfig(K=4))
     assert len(exc.value.trace) >= 1
+
+
+def test_fw_abort_names_the_method_the_handle_and_the_iteration():
+    h = scalar_handle(2, lambda x: float(x.sum()), gradient=lambda x: 1.0, monotone=True,
+                      submodular=True, dr_submodular=True, differentiable=True, name="flat")
+    with pytest.raises(SolverAbort, match="frank_wolfe: gradient of 'flat' failed at "
+                                          "iteration 0: dimension mismatch: expected 2, got 1"):
+        frank_wolfe_variant(h, _box_polytope(2), FWConfig(K=4))
 
 
 def test_fw_accepts_an_injected_inexact_oracle():
@@ -533,6 +543,120 @@ def test_maximize_1d_errors():
     nonfinite = _scalar_handle(lambda z: np.inf if z > 0.5 else z)
     with pytest.raises(ValueError, match="probe"):
         maximize_1d(nonfinite, np.zeros(1), 0, 0.0, 1.0, CONCAVE_MODE)
+
+
+# early stops of the searching modes
+
+def _probed(fn):
+    """A 1-D handle of ``fn`` and the list of coordinates it is probed at."""
+    seen = []
+
+    def value(v):
+        seen.append(float(v[0]))
+        return float(fn(v[0]))
+    return scalar_handle(1, value), seen
+
+
+def _counted(h, calls):
+    """``h`` with a ``value_batch`` that appends its row count to ``calls``."""
+    def value_batch(X):
+        calls.append(len(X))
+        return h.value_batch(X)
+    return dataclasses.replace(h, value_batch=value_batch)
+
+
+@pytest.mark.parametrize("slope, end", [(2.0, 1.0), (-2.0, 0.0)])
+def test_concave_search_stops_on_a_linear_restriction_after_four_probes(slope, end):
+    # the envelope of a line is the line: golden section's a, b, c, d settle it
+    h, seen = _probed(lambda z: slope * z + 0.5)
+    z, val, gap = maximize_1d(h, np.zeros(1), 0, 0.0, 1.0, CONCAVE_MODE)
+    assert len(seen) == 4 and seen[:2] == [0.0, 1.0]
+    assert z == end and val == slope * end + 0.5
+    assert 0.0 <= gap <= 2e-12 * (1.0 + abs(val))
+
+
+def test_concave_search_end_rule_settles_an_increasing_restriction():
+    h, seen = _probed(lambda z: math.sqrt(z + 0.01))
+    tol = 1e-10
+    z, val, gap = maximize_1d(h, np.zeros(1), 0, 0.0, 1.0, CONCAVE_MODE, tol)
+    assert z == 1.0 and val == math.sqrt(1.01)
+    assert len(seen) <= 6    # golden section alone takes 52
+    slope = 0.5 / math.sqrt(0.01)   # the steepest slope on [0, 1]
+    assert 0.0 <= gap <= tol * slope + 1e-12 * (1.0 + abs(val))
+
+
+def test_maximize_1d_early_stops_keep_the_gap_sound():
+    # interior and endpoint maxima at the default tol, where both rules fire
+    rng = np.random.default_rng(5)
+    grid = np.linspace(0.0, 1.0, 100_001)
+    for _ in range(40):
+        c1, c2 = rng.uniform(0.1, 3.0, size=2)
+        c3 = rng.uniform(-3.0, 3.0)
+        fn = lambda z, c1=c1, c2=c2, c3=c3: c1 * np.sqrt(z + 0.01) - c2 * z * z + c3 * z
+        z, val, gap = maximize_1d(_scalar_handle(fn), np.zeros(1), 0, 0.0, 1.0, CONCAVE_MODE)
+        assert gap >= 0.0 and val == fn(z)
+        assert val >= fn(grid).max() - gap
+
+
+def test_revenue_search_stops_when_the_envelope_falls_below_the_anchor():
+    # the anchor of the discontinuity-preferring example wins after the
+    # anchor and golden section's first four probes
+    inst = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, 0.0],
+                           alpha=5.0, beta=1.0, gamma=1.0)
+    calls = []
+    x = np.array([0.0, 1.0])
+    z, val, gap = maximize_1d(_counted(inst.handle(), calls), x, 0, 0.0, 1.0, REVENUE_MODE)
+    assert (z, val, gap) == (0.0, inst.value(x), 0.0)
+    assert len(calls) == 5
+
+
+def test_revenue_single_greedy_makes_few_batch_calls_per_coordinate():
+    inst = gen_revenue(100, 300, 0)
+    calls = []
+    single_greedy(_counted(inst.handle(), calls), inst.box(), REVENUE_MODE)
+    assert len(calls) / 100 <= 10    # golden section alone made 53
+
+
+def _greedy_family(family, seed):
+    if family == "revenue":
+        inst = gen_revenue(100, 300, seed)
+        return inst.handle(), inst.box(), REVENUE_MODE
+    inst = gen_bipartite_influence(30, 60, 120, seed)
+    return inst.handle(), BoxDomain(np.zeros(30), np.ones(30)), CONCAVE_MODE
+
+
+def _objectives(trace):
+    return np.array([r.objective for r in trace.records]).tobytes()
+
+
+# sha256 of DoubleGreedy's final x and both traces' objectives (seed 1), and
+# of single_greedy's x and value, recorded before the searches stopped early.
+# Every answer on these instances is an endpoint, which the early stops return
+# bit for bit.
+_GREEDY_DIGESTS = [
+    ("revenue", 0, "6503f1fbd3a4ebdfa60692a245db0058cf166796e5f6313ce7cbbbdccd5d8e13",
+     "b91a27309d2637c19cb4ff9ea76522a85f4ce396a66eeb177dae99fc95bb32bc"),
+    ("revenue", 1, "9f1bd5cb520983598e86f2f7ed322d6c235eb81bbcaa62703e7e7a68645e80a9",
+     "ef4732bf8fa5b731c42a2a518ac034fa06847cf8a7d40e7737dcef12def42b89"),
+    ("revenue", 2, "bdbc9df1ae8e54fde1338c4b52fe89fd2bc2796b8fd6fef4a7921a01d73f0b9d",
+     "9480f10d1a98b5f95ed68ca4723ffb2b885e2e37fd90d3c06d4c5dafb4038f8d"),
+    ("influence", 0, "badc3bd5f81ca027ee7fdf31e620ed4deafc8d5757899deb8188197880f3a20b",
+     "5b64b78b930ffc48e73b7da8cac6f67b9dab731b85f9511c5459446d3adfd92d"),
+    ("influence", 1, "89ca385fa4787657dbe04282daf0228bb84caa37b889979f156ba8c21373acab",
+     "c05970e1da66e8fdd9ed2d421318f5010cb082f0740497470fbc242eeb5c8523"),
+    ("influence", 2, "93583a85ee5bdcb66bfc016989234601967a6e10e218547c11cc8450b5ae9b50",
+     "2469016f7a2fb08fe1f25f45f46f7fb8bc318a2191c90a1bb993432b1211fbaf"),
+]
+
+
+@pytest.mark.parametrize("family, seed, dg_digest, sg_digest", _GREEDY_DIGESTS)
+def test_box_greedy_outputs_are_pinned(family, seed, dg_digest, sg_digest):
+    h, box, mode = _greedy_family(family, seed)
+    x, tx, ty = double_greedy(h, box, DGConfig(seed=1, mode=mode))
+    dg = hashlib.sha256(x.tobytes() + _objectives(tx) + _objectives(ty)).hexdigest()
+    assert dg == dg_digest
+    xs, v = single_greedy(h, box, mode)
+    assert hashlib.sha256(xs.tobytes() + np.float64(v).tobytes()).hexdigest() == sg_digest
 
 
 # ------------------------------------------------------------------ curvature
