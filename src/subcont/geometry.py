@@ -42,14 +42,13 @@ class LPSolution:
 
 def feasibility_residual(domain, x) -> float:
     """Largest constraint violation of x; 0 when feasible."""
-    x = as_point(x)
+    x = as_point(x, domain.dimension)
     if isinstance(domain, BoxDomain):
-        res = max(np.max(domain.lower - x, initial=0.0),
-                  np.max(x - domain.upper, initial=0.0))
+        res = max((domain.lower - x).max(initial=0.0), (x - domain.upper).max(initial=0.0))
         return float(max(res, 0.0))
-    res = max(np.max(-x, initial=0.0), np.max(x - domain.upper, initial=0.0))
+    res = max((-x).max(initial=0.0), (x - domain.upper).max(initial=0.0))
     if domain.num_rows:
-        res = max(res, np.max(domain.A @ x - domain.b, initial=0.0))
+        res = max(res, (domain.A @ x - domain.b).max(initial=0.0))
     return float(max(res, 0.0))
 
 

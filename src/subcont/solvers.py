@@ -87,6 +87,9 @@ def frank_wolfe_variant(
     ``min_k f(x_k) + (<grad f(x_k), v_k> + delta) / alpha`` on the optimum:
     for a monotone f with diminishing returns,
     ``OPT <= f(x) + max_{v in P} <grad f(x), v>`` at every x.
+    ``trace.meta["lp_calls"]`` counts the oracle calls and
+    ``trace.meta["lp_kept"]`` the iterations that kept the previous vertex;
+    the two sum to K.
     """
     if not (f.monotone and f.dr_submodular):
         raise ValueError("requires a monotone objective with diminishing returns")
@@ -99,6 +102,7 @@ def frank_wolfe_variant(
     x = np.zeros(P.dimension)
     t = 0.0
     sol = None
+    lp_calls = 0
     upper_bound = np.inf
     trace = SolverTrace(meta={"algorithm": "frank_wolfe", "gamma": gamma,
                               "alpha": cfg.alpha, "delta": cfg.delta})
@@ -111,6 +115,7 @@ def frank_wolfe_variant(
                               f"iteration {k}: {e}", trace) from e
         if sol is None or not still_optimal(sol, grad):
             sol = oracle(P, grad)
+            lp_calls += 1
         # a kept solution's objective belongs to an earlier gradient
         upper_bound = min(upper_bound, trace.records[-1].objective
                           + (float(grad @ sol.point) + cfg.delta) / cfg.alpha)
@@ -118,7 +123,8 @@ def frank_wolfe_variant(
         x = x + step * sol.point
         t = 1.0 if k == cfg.K - 1 else t + step
         trace.append(k + 1, t, f.value(x), feasibility_residual(P, x))
-    trace.meta["opt_upper_bound"] = upper_bound
+    trace.meta.update(opt_upper_bound=upper_bound, lp_calls=lp_calls,
+                      lp_kept=cfg.K - lp_calls)
     return x, trace
 
 

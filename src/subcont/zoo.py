@@ -501,13 +501,28 @@ class FacilityInstance(_Family):
         return self.weights.shape[0]
 
     def value_batch(self, X: Array) -> Array:
+        # Rows run along the inner axis, so each op streams over k entries;
+        # one buffer holds the response R, the running max and each
+        # facility's product.  The row sums run on a C-ordered
+        # (k, n_customers) copy: numpy sums such a row pairwise, and the
+        # values' bits depend on that order.
         X = self._rows(X)
-        response = -np.expm1(-X)   # 1 - exp(-x)
         W = self.weights
-        best = response[:, 0, None] * W[0]   # (k, n_customers): running max over facilities
-        for s in range(1, W.shape[0]):
-            np.maximum(best, response[:, s, None] * W[s], out=best)
-        return best.sum(axis=1)
+        n_fac, n_cust = W.shape
+        k = X.shape[0]
+        buf = np.empty(k * (n_fac + 2 * n_cust))
+        R = buf[:n_fac * k].reshape(n_fac, k)
+        best, tmp = buf[n_fac * k:].reshape(2, n_cust, k)
+        np.negative(X.T, out=R)
+        np.expm1(R, out=R)
+        np.negative(R, out=R)   # 1 - exp(-x)
+        np.multiply(R[0], W[0][:, None], out=best)   # running max over facilities
+        for s in range(1, n_fac):
+            np.multiply(R[s], W[s][:, None], out=tmp)
+            np.maximum(best, tmp, out=best)
+        rows = tmp.reshape(k, n_cust)
+        rows[...] = best.T
+        return rows.sum(axis=1)
 
     def handle(self) -> ObjectiveHandle:
         return ObjectiveHandle(

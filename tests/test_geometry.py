@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcont import (LPSolution, PolytopeDomain, feasibility_residual,
+from subcont import (BoxDomain, LPSolution, PolytopeDomain, feasibility_residual,
                      gen_monotone_nqp, hit_and_run, linear_maximize,
                      project_polytope, ratio_shrink, still_optimal)
 
@@ -39,6 +39,14 @@ def test_feasibility_residual():
     assert feasibility_residual(SIMPLEX, [1.0, 1.0]) == pytest.approx(1.0)
     assert feasibility_residual(SIMPLEX, [-0.25, 0.5]) == pytest.approx(0.25)
     assert feasibility_residual(SIMPLEX, [0.0, 1.5]) == pytest.approx(0.5)
+
+
+def test_feasibility_residual_rejects_a_point_of_the_wrong_length():
+    box = BoxDomain(np.zeros(4), np.ones(4))
+    P = PolytopeDomain(np.ones((1, 4)), [1.0], np.ones(4))
+    for domain in (box, P):
+        with pytest.raises(ValueError, match="dimension mismatch: expected 4, got 1"):
+            feasibility_residual(domain, [2.0])
 
 
 # ---------------------------------------------------------------- LP oracle

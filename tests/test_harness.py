@@ -155,19 +155,28 @@ def _grid_cases(n):
     A = np.vstack([np.eye(1, n), rng.uniform(0, 1, size=(2, n))])
     b = np.concatenate([[0.3 * upper[0]], rng.uniform(0.5, 1.5, 2)])
     yield f, PolytopeDomain(A, b, upper), np.zeros(n)
+    # no row binds (b >= A @ upper): every block is evaluated in place
+    A = rng.uniform(0, 1, size=(2, n))
+    yield f, PolytopeDomain(A, A @ upper + rng.uniform(0.0, 0.5, 2), upper), np.zeros(n)
+    # a cap on the coordinate sum: blocks near the origin are wholly
+    # feasible, the rest partly or not at all
+    yield f, PolytopeDomain(np.ones((1, n)), [0.6 * upper.sum()], upper), np.zeros(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_grid_matches_row_major_reference_scan(n):
     rows = []
+    in_place = []
 
     def counted(X):
         rows.append(X.shape[0])
+        in_place.append(not X.flags.owndata)
         return f.value_batch(X)
 
-    for f, domain, lo in _grid_cases(n):
+    for case, (f, domain, lo) in enumerate(_grid_cases(n)):
         P = domain if isinstance(domain, PolytopeDomain) else None
         g = ObjectiveHandle(n, f.value, value_batch=counted)
+        paths = set()
         for ppd in range(1, 8):
             want_x, want_v = _reference_grid_scan(f, lo, domain.upper, ppd, P)
             # sizes between whole runs give blocks of several runs whose
@@ -176,12 +185,17 @@ def test_grid_matches_row_major_reference_scan(n):
                 {2 * ppd ** k + 1 for k in range(n)} | {3 * ppd ** k - 1 for k in range(n)}
             for chunk in chunks:
                 rows.clear()
+                in_place.clear()
                 x, v = grid_brute_force(g, domain, ppd, chunk=chunk)
                 assert np.array_equal(x, want_x), (ppd, chunk)
                 assert abs(v - want_v) <= 1e-12, (ppd, chunk)
                 assert max(rows) <= chunk, (ppd, chunk)
-                if P is None:
+                paths.update(in_place)
+                if case in (0, 2):   # the box, and the polytope where no row binds
                     assert sum(rows) == ppd ** n
+                    assert all(in_place), (ppd, chunk)
+        if case == 3 and n > 1:
+            assert paths == {True, False}   # both in-place and compressed blocks
 
 
 def test_grid_constant_objective_returns_lower_corner():

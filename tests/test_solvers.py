@@ -151,6 +151,27 @@ def test_fw_reusing_a_certified_vertex_matches_cold_solves():
             assert cold_calls == len(path) >= K and calls < K
 
 
+def test_fw_lp_counters_sum_to_K():
+    K = 30
+    inst, P0 = gen_monotone_nqp(30, 15, 0)
+    P = PolytopeDomain(P0.A, np.full(15, 1.0), P0.upper)
+    handle = inst.handle(P.box())
+    calls = []
+
+    def counted(P, c):
+        calls.append(c)
+        return linear_maximize(P, c)
+
+    _, trace = frank_wolfe_variant(handle, P, FWConfig(K=K), oracle=counted)
+    assert trace.meta["lp_calls"] == len(calls)
+    assert trace.meta["lp_calls"] + trace.meta["lp_kept"] == K
+    assert trace.meta["lp_kept"] > 0
+    # an oracle without a basis never passes still_optimal
+    _, cold = frank_wolfe_variant(handle, P, FWConfig(K=K),
+                                  oracle=lambda P, c: _without_basis(linear_maximize(P, c)))
+    assert (cold.meta["lp_calls"], cold.meta["lp_kept"]) == (K, 0)
+
+
 def test_fw_certified_upper_bound_on_the_optimum():
     for seed in range(10):
         inst, P = gen_monotone_nqp(3, 1, seed)

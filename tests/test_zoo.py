@@ -225,20 +225,28 @@ def test_facility_examples():
     assert two.value([10.0, 10.0]) == pytest.approx(2.0 * (1 - np.exp(-10.0)))
 
 
-def test_facility_value_batch_equals_the_broadcast_formula():
+@pytest.mark.parametrize("k", [1, 2, 7, 16384])
+@pytest.mark.parametrize("n_fac, n_cust", [(1, 1), (4, 8), (4, 9), (20, 40), (3, 130)])
+def test_facility_value_batch_equals_the_broadcast_formula(n_fac, n_cust, k):
+    # row lengths under 8, from 8 to 128 and over 128 customers take
+    # different branches of numpy's pairwise row sum
     rng = np.random.default_rng(12)
-    W = rng.uniform(0, 1, size=(4, 9))
-    W[1] = W[0]               # two facilities with the same weights
-    W[2, :4] = W[3, :4]       # and tied weights on some customers
+    W = rng.uniform(0, 1, size=(n_fac, n_cust))
+    if n_fac > 1:
+        W[1] = W[0]               # two facilities with the same weights
+        W[-1, :4] = W[0, :4]      # and tied weights on some customers
     inst = FacilityInstance(W)
-    X = rng.uniform(0, 3, size=(10_000, 4)) * (rng.random((10_000, 4)) > 0.25)
-    X[:50] = 0.0              # zero rows
-    X[50:100, 1] = X[50:100, 0]
-    response = -np.expm1(-X)
-    broadcast = np.max(response[:, :, None] * W[None, :, :], axis=1).sum(axis=1)
+    X = rng.uniform(0, 3, size=(k, n_fac)) * (rng.random((k, n_fac)) > 0.25)
+    X[::3] = 0.0                  # zero rows
+    if n_fac > 1:
+        X[1::5, 1] = X[1::5, 0]
     got = inst.value_batch(X)
+    # the broadcast formula, a block of rows at a time to bound its memory
+    broadcast = np.concatenate([
+        np.max(-np.expm1(-X[i:i + 1024])[:, :, None] * W[None, :, :], axis=1).sum(axis=1)
+        for i in range(0, k, 1024)])
     assert np.array_equal(got, broadcast)
-    assert all(inst.value(X[i]) == got[i] for i in range(0, 10_000, 97))
+    assert all(inst.value(X[i]) == got[i] for i in range(0, k, max(1, k // 97)))
 
 
 def test_revenue_tolerated_negative_band_counts_as_zero():
