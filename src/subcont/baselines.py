@@ -64,7 +64,9 @@ def single_greedy(f: ObjectiveHandle, box: BoxDomain,
                   mode: str = CONCAVE_MODE) -> tuple[Array, float]:
     """One pass over the coordinates in natural order from the lower corner,
     taking each 1-D maximizer whenever its gain is positive.  No repeated
-    sweeps."""
+    sweeps.  Each search evaluates its opening probes with one
+    ``value_batch`` call (see ``maximize_1d``), so the values it compares may
+    differ in the last bits from ``f.value`` at the same points."""
     x = box.lower.copy()
     fx = f.value(x)
     for j in range(box.dimension):

@@ -144,14 +144,18 @@ def _envelope(a: float, c: float, d: float, b: float,
 
 
 def _search(mode: str, j: int, lo: float, hi: float, tol: float):
-    """One 1-D search of ``maximize_1d`` as a generator: it yields one probe
-    coordinate at a time, is sent the value there, and returns
-    (z_best, value_best, gap_bound).
+    """One 1-D search of ``maximize_1d`` as a generator: it yields a tuple of
+    probe coordinates per round, is sent their values (a sequence in the same
+    order), and returns (z_best, value_best, gap_bound).
 
-    The searching modes take golden section's probes in golden section's
-    order and keep the best value actually evaluated (bracket ends included).
-    Once the bracket holds probes a < c < d < b, two rules may stop them
-    early:
+    The opening round holds every probe that depends on no value: lo, mid,
+    hi and the quarter point in quadratic mode; golden section's a, b, c, d
+    in concave mode, led by the anchor lo in revenue mode.  Every later
+    round is one probe: the vertex, the end probe or a golden-section step.
+
+    The searching modes take golden section's probes and keep the best value
+    actually evaluated (bracket ends included).  Once the bracket holds
+    probes a < c < d < b, two rules may stop them early:
 
     * envelope (needs a concave g): g lies under every secant extended past
       its ends, which bounds g on [a, b] by some U.  The search stops when
@@ -171,16 +175,14 @@ def _search(mode: str, j: int, lo: float, hi: float, tol: float):
     returns.
     """
     if hi - lo < 1e-15:
-        return lo, (yield lo), 0.0
+        (value,) = yield (lo,)
+        return lo, value, 0.0
 
     if mode == QUADRATIC_MODE:
         mid = 0.5 * (lo + hi)
-        glo = yield lo
-        gmid = yield mid
-        ghi = yield hi
         # three points fit a parabola to anything: a fourth one checks it
         quarter = lo + (hi - lo) / 4.0
-        gq = yield quarter
+        glo, gmid, ghi, gq = yield (lo, mid, hi, quarter)
         miss = abs(gq - (3.0 * glo + 6.0 * gmid - ghi) / 8.0)
         if miss > 1e-9 * (1.0 + max(abs(glo), abs(gmid), abs(ghi), abs(gq))):
             raise ValueError(f"restriction to x_{j} is not quadratic: probe x_{j} = "
@@ -193,30 +195,29 @@ def _search(mode: str, j: int, lo: float, hi: float, tol: float):
         if a < 0.0:
             vertex = -b / (2.0 * a)
             if lo < vertex < hi:
-                candidates.append((vertex, (yield vertex)))
+                (gv,) = yield (vertex,)
+                candidates.append((vertex, gv))
         z_star, value = max(candidates, key=lambda p: p[1])
         return float(z_star), float(value), 0.0
 
     a, b = lo, hi
-    anchor = None
+    head = ()   # revenue mode: the anchor, the discontinuity lo (0 in practice)
     if mode == REVENUE_MODE:
         eps = 1e-10
-        anchor = yield lo   # exact value at the discontinuity (lo is 0 in practice)
         if hi <= lo + eps:
-            return lo, anchor, 0.0
+            (value,) = yield (lo,)
+            return lo, value, 0.0
+        head = (lo,)
         a = max(lo + eps, eps)
-    fa = yield a
-    probes = [(a, fa)]
-    if b > a:
-        fb = yield b
-        probes.append((b, fb))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    opening = (a, b, c, d) if b - a > tol else (a, b) if b > a else (a,)
+    values = yield head + opening
+    anchor = values[0] if head else None
+    probes = list(zip(opening, values[-len(opening):]))
     upper = None   # the envelope bound, once it stopped the search
     if b - a > tol:
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = yield c
-        fd = yield d
-        probes.extend([(c, fc), (d, fd)])
+        fa, fb, fc, fd = values[-4:]
         top = max(fa, fb, fc, fd)
         end_probed = False
         while b - a > tol:
@@ -229,7 +230,7 @@ def _search(mode: str, j: int, lo: float, hi: float, tol: float):
             if not end_probed and max(fa, fb) > max(fc, fd):
                 end_probed = True
                 end, f_end, inner = (a, fa, a + tol) if fa >= fb else (b, fb, b - tol)
-                f_inner = yield inner
+                (f_inner,) = yield (inner,)
                 probes.append((inner, f_inner))
                 top = max(top, f_inner)
                 if f_end - f_inner > 1e-12 * (1.0 + abs(f_end)):
@@ -238,13 +239,13 @@ def _search(mode: str, j: int, lo: float, hi: float, tol: float):
             if fc >= fd:
                 b, fb, d, fd = d, fd, c, fc
                 c = b - _INVPHI * (b - a)
-                fc = yield c
+                (fc,) = yield (c,)
                 probes.append((c, fc))
                 top = max(top, fc)
             else:
                 a, fa, c, fc = c, fc, d, fd
                 d = a + _INVPHI * (b - a)
-                fd = yield d
+                (fd,) = yield (d,)
                 probes.append((d, fd))
                 top = max(top, fd)
     probes.sort(key=lambda p: p[0])
@@ -262,6 +263,13 @@ def _search(mode: str, j: int, lo: float, hi: float, tol: float):
     return float(zs[best]), float(vs[best]), float((b - a) * slope + allowance)
 
 
+def _check_search(mode: str, tol: float) -> None:
+    if mode not in (QUADRATIC_MODE, CONCAVE_MODE, REVENUE_MODE):
+        raise ValueError(f"unknown 1-D mode {mode!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"1-D tol must be finite and positive, got {tol}")
+
+
 def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
                 mode: str, tol: float = 1e-10
                 ) -> tuple[float, float, float] | list[tuple[float, float, float]]:
@@ -270,13 +278,15 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
     ``x`` is one point or a (k, n) stack of points that share j, lo and hi.
     For one point, returns (z_star, value, gap_bound) with
     value = f(x with x_j = z_star); for a stack, a list of k such tuples, one
-    per row.  The rows' searches run in lockstep: each round evaluates the
-    pending probe of every unfinished row with one ``value_batch`` call, and
-    rows drop out as their searches end.  A row's result depends on its own
-    probe values only, but a multi-row ``value_batch`` may round differently
-    in the last bits from a one-row call (a BLAS matrix-matrix kernel instead
-    of a matrix-vector one).  For the zoo handles, whose ``value_batch`` uses
-    the ``value`` formula, a one-row round matches ``f.value`` bit for bit.
+    per row.  The rows' searches run in lockstep, and rows drop out as their
+    searches end.  Each round makes one ``value_batch`` call on every pending
+    probe of every unfinished row: the row repeated once per probe, with x_j
+    set to the probe.  The opening round holds the probes that depend on no
+    value (up to five per row, see ``_search``); later rounds hold one per
+    row.  A row's result depends on its own probe values only, but a
+    multi-row ``value_batch`` may round differently in the last bits from a
+    one-row call (a BLAS matrix-matrix kernel instead of a matrix-vector
+    one), so the values may differ at that level from ``f.value``.
 
     Modes:
       * quadratic_closed_form - exact for 1-D restrictions that are quadratic
@@ -299,7 +309,7 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
     A non-finite probe value raises ``ValueError`` naming the row, the
     coordinate and the probe.
     """
-    X = np.array(x, dtype=float)   # the one copy: probes overwrite column j
+    X = np.asarray(x, dtype=float)
     single = X.ndim < 2
     if single:
         X = X.reshape(1, -1)
@@ -310,25 +320,29 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
         raise ValueError("point contains non-finite entries")
     if not 0 <= j < f.dimension:
         raise ValueError(f"coordinate {j} out of range")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval [{lo}, {hi}] of x_{j} must be finite")
     if lo > hi:
         raise ValueError("need lo <= hi")
-    if mode not in (QUADRATIC_MODE, CONCAVE_MODE, REVENUE_MODE):
-        raise ValueError(f"unknown 1-D mode {mode!r}")
+    _check_search(mode, tol)
     k = len(X)
     searches = [_search(mode, j, lo, hi, tol) for _ in range(k)]
     results = [None] * k
-    pending = [(r, s.send(None)) for r, s in enumerate(searches)]   # (row, probe)
+    pending = [(r, s.send(None)) for r, s in enumerate(searches)]   # (row, probes)
     while pending:
-        for r, z in pending:
-            X[r, j] = z
-        rows = X if len(pending) == k else X[[r for r, _ in pending]]
+        rows = X[[r for r, _ in pending]].repeat([len(zs) for _, zs in pending], axis=0)
+        rows[:, j] = [z for _, zs in pending for z in zs]
         values = eval_batch(f, rows).tolist()
         probed, pending = pending, []
-        for (r, z), v in zip(probed, values):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite evaluation on row {r} at probe x_{j} = {z}")
+        at = 0
+        for r, zs in probed:
+            vs = values[at:at + len(zs)]
+            at += len(zs)
+            for z, v in zip(zs, vs):
+                if not math.isfinite(v):
+                    raise ValueError(f"non-finite evaluation on row {r} at probe x_{j} = {z}")
             try:
-                pending.append((r, searches[r].send(v)))
+                pending.append((r, searches[r].send(vs)))
             except StopIteration as done:
                 results[r] = done.value
     return results[0] if single else results
@@ -346,6 +360,9 @@ class DGConfig:
     mode: str = CONCAVE_MODE
     tol: float = 1e-10
 
+    def __post_init__(self):
+        _check_search(self.mode, self.tol)
+
 
 def double_greedy(f: ObjectiveHandle, box: BoxDomain,
                   cfg: DGConfig) -> tuple[Array, SolverTrace, SolverTrace]:
@@ -357,10 +374,12 @@ def double_greedy(f: ObjectiveHandle, box: BoxDomain,
     Requires a submodular objective with f(lower) + f(upper) >= 0.
 
     The two 1-D searches of a coordinate are one ``maximize_1d`` call on the
-    stack (x, y), so each probe round evaluates both particles with one
-    two-row ``value_batch``.  Such a call may round differently in the last
-    bits from two one-row calls, so trace values can differ at that level
-    from a run that searches the particles one after the other.
+    stack (x, y), so each probe round evaluates both particles' pending
+    probes with one ``value_batch``: both opening sets (up to five probes
+    each) in the first round, one probe per particle after.  Such a call may
+    round differently in the last bits from one-row calls, so trace values
+    can differ at that level from a run that probes the particles one point
+    at a time.
     """
     if not f.submodular:
         raise ValueError("requires an objective with the submodular flag")

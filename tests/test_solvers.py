@@ -10,7 +10,7 @@ from subcont import (BoxDomain, DGConfig, FWConfig, LPSolution, ObjectiveHandle,
                      double_greedy, frank_wolfe_variant, gen_bipartite_influence,
                      gen_monotone_nqp, gen_nonmonotone_nqp, gen_revenue, grid_brute_force,
                      largest_abs_eigenvalue, linear_maximize, maximize_1d, single_greedy)
-from subcont.solvers import CONCAVE_MODE, QUADRATIC_MODE, REVENUE_MODE
+from subcont.solvers import _INVPHI, CONCAVE_MODE, QUADRATIC_MODE, REVENUE_MODE
 from subcont.zoo import RevenueInstance
 
 from handles import scalar_handle
@@ -517,7 +517,8 @@ def test_maximize_1d_stack_rows_equal_one_point_calls():
 
 def test_maximize_1d_stack_rows_finish_in_different_rounds():
     # row 0: convex in x_0, no vertex to probe (four probes); row 1: concave
-    # in x_0 with an interior vertex (lo, mid, hi, quarter, vertex)
+    # in x_0 with an interior vertex (lo, mid, hi, quarter, vertex).  The
+    # opening round holds both rows' four probes, the second only the vertex
     h = scalar_handle(2, lambda v: float((v[1] - 0.5) * v[0] ** 2 + 0.2 * v[0]))
     rounds = []
 
@@ -528,7 +529,7 @@ def test_maximize_1d_stack_rows_finish_in_different_rounds():
     counted = ObjectiveHandle(2, h.value, value_batch)
     stack = np.array([[0.0, 1.0], [0.0, 0.0]])
     got = maximize_1d(counted, stack, 0, 0.0, 1.0, QUADRATIC_MODE)
-    assert rounds == [2, 2, 2, 2, 1]
+    assert rounds == [8, 1]
     assert got == [maximize_1d(h, row, 0, 0.0, 1.0, QUADRATIC_MODE) for row in stack]
     assert got[0][0] == 1.0 and got[1][0] == pytest.approx(0.2)
 
@@ -564,6 +565,37 @@ def test_maximize_1d_errors():
     nonfinite = _scalar_handle(lambda z: np.inf if z > 0.5 else z)
     with pytest.raises(ValueError, match="probe"):
         maximize_1d(nonfinite, np.zeros(1), 0, 0.0, 1.0, CONCAVE_MODE)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0)])
+def test_maximize_1d_rejects_a_non_finite_interval_before_probing(lo, hi):
+    calls = []
+    h = _counted(QuadraticInstance(-np.eye(2), [1.0, 1.0]).handle(), calls)
+    with pytest.raises(ValueError, match=r"interval .* of x_0 must be finite"):
+        maximize_1d(h, np.zeros(2), 0, lo, hi, CONCAVE_MODE)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+def test_maximize_1d_rejects_a_bad_tol_before_probing(tol):
+    calls = []
+    h = _counted(QuadraticInstance(-np.eye(2), [1.0, 1.0]).handle(), calls)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        maximize_1d(h, np.zeros(2), 0, 0.0, 1.0, CONCAVE_MODE, tol)
+    assert calls == []
+
+
+def test_dg_config_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown 1-D mode 'golden'"):
+        DGConfig(mode="golden")
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+def test_dg_config_rejects_a_bad_tol(tol):
+    # with tol = nan a search never narrowed its bracket: on
+    # QuadraticInstance(-I, [0.7, 1]) it answered z = 1.0 along x_0, not 0.7
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        DGConfig(mode=CONCAVE_MODE, tol=tol)
 
 
 # early stops of the searching modes
@@ -621,14 +653,14 @@ def test_maximize_1d_early_stops_keep_the_gap_sound():
 
 def test_revenue_search_stops_when_the_envelope_falls_below_the_anchor():
     # the anchor of the discontinuity-preferring example wins after the
-    # anchor and golden section's first four probes
+    # anchor and golden section's first four probes, all in the opening round
     inst = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, 0.0],
                            alpha=5.0, beta=1.0, gamma=1.0)
     calls = []
     x = np.array([0.0, 1.0])
     z, val, gap = maximize_1d(_counted(inst.handle(), calls), x, 0, 0.0, 1.0, REVENUE_MODE)
     assert (z, val, gap) == (0.0, inst.value(x), 0.0)
-    assert len(calls) == 5
+    assert calls == [5]
 
 
 def test_revenue_single_greedy_makes_few_batch_calls_per_coordinate():
@@ -636,6 +668,62 @@ def test_revenue_single_greedy_makes_few_batch_calls_per_coordinate():
     calls = []
     single_greedy(_counted(inst.handle(), calls), inst.box(), REVENUE_MODE)
     assert len(calls) / 100 <= 10    # golden section alone made 53
+
+
+def _recorded(h, batches):
+    """``h`` with a ``value_batch`` that appends a copy of each batch to ``batches``."""
+    def value_batch(X):
+        batches.append(np.array(X))
+        return h.value_batch(X)
+    return dataclasses.replace(h, value_batch=value_batch)
+
+
+def test_opening_round_holds_every_value_independent_probe():
+    c, d = 1.0 - _INVPHI, _INVPHI   # golden section's inner points on [0, 1]
+    quad = QuadraticInstance(-np.eye(2), [0.3, 1.0]).handle()
+    revenue = RevenueInstance(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.2],
+                              alpha=2.0, beta=1.0, gamma=1.5).handle()
+    eps = 1e-10
+    for mode, h, opening in [
+            (QUADRATIC_MODE, quad, [0.0, 0.5, 1.0, 0.25]),
+            (CONCAVE_MODE, quad, [0.0, 1.0, c, d]),
+            (REVENUE_MODE, revenue, [0.0, eps, 1.0, 1.0 - _INVPHI * (1.0 - eps),
+                                     eps + _INVPHI * (1.0 - eps)])]:
+        batches = []
+        maximize_1d(_recorded(h, batches), np.zeros((2, 2)), 0, 0.0, 1.0, mode)
+        assert batches[0][:, 0].tolist() == opening * 2, mode
+        assert all(len(X) <= 2 for X in batches[1:]), mode   # one probe per row
+
+
+# value_batch rows and calls of both greedy methods before the opening probes
+# of a search went into one call; the rows are the probes, which must not change
+_PROBE_COUNTS = {
+    ("revenue", "single_greedy"): (571, 571),
+    ("revenue", "double_greedy"): (1236, 713),
+    ("nqp", "single_greedy"): (802, 802),
+    ("nqp", "double_greedy"): (1601, 801),
+}
+
+
+@pytest.mark.parametrize("family, method", list(_PROBE_COUNTS))
+def test_greedy_probe_set_is_unchanged_in_fewer_calls(family, method):
+    if family == "revenue":
+        inst = gen_revenue(100, 300, 0)
+        h, box, mode = inst.handle(), inst.box(), REVENUE_MODE
+    else:
+        inst, box = gen_nonmonotone_nqp(200, 0)
+        h, mode = inst.handle(box), QUADRATIC_MODE
+    calls = []
+    counted = _counted(h, calls)
+    if method == "single_greedy":
+        single_greedy(counted, box, mode)
+    else:
+        double_greedy(counted, box, DGConfig(seed=1, mode=mode))
+    rows, parent_calls = _PROBE_COUNTS[family, method]
+    assert sum(calls) == rows
+    assert len(calls) < parent_calls
+    if mode == QUADRATIC_MODE:   # the opening round and at most the vertex
+        assert len(calls) <= 2 * box.dimension
 
 
 def _greedy_family(family, seed):
@@ -653,13 +741,15 @@ def _objectives(trace):
 # sha256 of DoubleGreedy's final x and both traces' objectives (seed 1), and
 # of single_greedy's x and value, recorded before the searches stopped early.
 # Every answer on these instances is an endpoint, which the early stops return
-# bit for bit.
+# bit for bit.  The revenue DoubleGreedy digests were re-recorded when each
+# search's opening probes went into one value_batch call: the final x kept
+# its bits, and trace values moved in the last bits with the larger batches.
 _GREEDY_DIGESTS = [
-    ("revenue", 0, "6503f1fbd3a4ebdfa60692a245db0058cf166796e5f6313ce7cbbbdccd5d8e13",
+    ("revenue", 0, "ee3b5206e4f34af6693306aa5981d4219b06529daca7ad2a96d2164f0dcef5f4",
      "b91a27309d2637c19cb4ff9ea76522a85f4ce396a66eeb177dae99fc95bb32bc"),
-    ("revenue", 1, "9f1bd5cb520983598e86f2f7ed322d6c235eb81bbcaa62703e7e7a68645e80a9",
+    ("revenue", 1, "53549693eee87bae773dba2508e880e3f1ea6f4d51546272886988b1665bafa9",
      "ef4732bf8fa5b731c42a2a518ac034fa06847cf8a7d40e7737dcef12def42b89"),
-    ("revenue", 2, "bdbc9df1ae8e54fde1338c4b52fe89fd2bc2796b8fd6fef4a7921a01d73f0b9d",
+    ("revenue", 2, "5d084c24960afcebf0573d52e022c5c2b0ffe4b003ad3a780afbafe86371fdd2",
      "9480f10d1a98b5f95ed68ca4723ffb2b885e2e37fd90d3c06d4c5dafb4038f8d"),
     ("influence", 0, "badc3bd5f81ca027ee7fdf31e620ed4deafc8d5757899deb8188197880f3a20b",
      "5b64b78b930ffc48e73b7da8cac6f67b9dab731b85f9511c5459446d3adfd92d"),
