@@ -57,7 +57,7 @@ def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
                              f"iteration {k}: {e}") from e
         x = project(x + step * grad)
         trace.append(k, k / iters, f.value(x), feasibility_residual(domain, x))
-    return x, f.value(x), trace
+    return x, trace.final_objective, trace
 
 
 def single_greedy(f: ObjectiveHandle, box: BoxDomain,

@@ -28,6 +28,20 @@ def as_point(x, dim: int | None = None) -> Array:
     return p
 
 
+def as_stack(x, dim: int) -> tuple[Array, bool]:
+    """Coerce one point or a (k, dim) stack of points to a finite (k, dim)
+    float array, and say whether it was one point (checked by ``as_point``;
+    the stack is then its one row)."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim < 2:
+        return as_point(X, dim)[None, :], True
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"expected a point or a (k, {dim}) stack, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("point contains non-finite entries")
+    return X, False
+
+
 def check_positive_int(what: str, value) -> None:
     """Raise a ValueError naming ``what`` unless value is an int >= 1; a bool
     is not an int here."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, BoxDomain, PolytopeDomain, as_point, check_positive_int
+from .core import Array, BoxDomain, PolytopeDomain, as_point, as_stack, check_positive_int
 
 _EPS_COST = 1e-9     # reduced-cost threshold for entering variables
 _EPS_PIVOT = 1e-11   # smallest usable pivot element
@@ -361,15 +361,7 @@ def ratio_shrink(P: PolytopeDomain, x) -> Array:
     shrinks bit for bit as it would alone (a matrix-matrix product rounds
     differently in the last bits).
     """
-    X = np.asarray(x, dtype=float)
-    single = X.ndim < 2
-    if single:
-        X = as_point(X, P.dimension).reshape(1, -1)
-    elif X.ndim != 2 or X.shape[1] != P.dimension:
-        raise ValueError(f"expected a point or a (k, {P.dimension}) stack, "
-                         f"got shape {X.shape}")
-    elif not np.isfinite(X).all():
-        raise ValueError("point contains non-finite entries")
+    X, single = as_stack(x, P.dimension)
     if np.any(X < 0):
         raise ValueError("ratio_shrink expects nonnegative points")
     xc = np.minimum(X, P.upper)

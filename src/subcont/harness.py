@@ -1,9 +1,10 @@
 """Experiment orchestration: instance building, the grid brute-force oracle,
 method dispatch, and CSV/JSON emission.
 
-Two tables drive a sweep: ``_EXPERIMENTS`` (per experiment: domain kind, data
-use, default methods, build function) and ``_METHODS`` (per method: domain,
-call).  A cell has one ``PolytopeDomain``, without rows on a box.
+Two tables drive a sweep: ``_EXPERIMENTS`` (per experiment: the 1-D mode of
+its box methods, data use, default methods, build function) and ``_METHODS``
+(per method: domain, call).  A cell has one ``PolytopeDomain``, without rows
+on a box.
 
 Layout of an output directory:
   manifest.json           run recipe and environment (written before any
@@ -34,8 +35,8 @@ from .baselines import proj_grad_ascent, random_best_of, random_cube_baseline, s
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
                    SolverTrace, check_positive_int, eval_batch)
 from .geometry import feasibility_residual
-from .solvers import (CONCAVE_MODE, DGConfig, FWConfig, QUADRATIC_MODE,
-                      REVENUE_MODE, double_greedy, frank_wolfe_variant)
+from .solvers import (DGConfig, FWConfig, QUADRATIC_MODE, REVENUE_MODE, double_greedy,
+                      frank_wolfe_variant)
 from .zoo import (BipartiteInfluenceInstance, balanced_revenue,
                   gen_bipartite_influence, gen_monotone_nqp,
                   gen_nonmonotone_nqp, gen_revenue)
@@ -90,7 +91,7 @@ class ExperimentConfig:
         for m in methods:
             if m not in _METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {list(_METHODS)}")
-            if _METHODS[m].domain == "box" and _EXPERIMENTS[self.experiment].domain != "box":
+            if _METHODS[m].domain == "box" and _EXPERIMENTS[self.experiment].mode is None:
                 raise ValueError(f"{m} needs a box-constrained experiment")
         if not all(math.isfinite(s) and s > 0 for s in self.steps):
             raise ValueError(f"proj_grad steps must be finite and positive, got {self.steps}")
@@ -135,6 +136,7 @@ def load_bipartite_tsv(path, u_scale: float = 1.0):
     Influence weights must lie strictly in (0, 1); revenue weights must be
     nonnegative, with self-loops giving self-activation rates.  Node ids are
     mapped to dense indices; the mapping lands in the instance ``meta``.
+    Each line is checked as it is read, so an error names the first bad line.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -145,7 +147,11 @@ def load_bipartite_tsv(path, u_scale: float = 1.0):
         raise ValueError(f"{path}: header must be '# kind=influence' or "
                          f"'# kind=revenue', got {header!r}")
     kind = header.split("=", 1)[1]
-    edges = []
+    # revenue nodes share one id map; a revenue key is the unordered pair,
+    # (s, s) for a self-loop
+    src_ids: dict[str, int] = {}
+    dst_ids = src_ids if kind == "revenue" else {}
+    weights: dict[tuple[int, int], float] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -159,55 +165,37 @@ def load_bipartite_tsv(path, u_scale: float = 1.0):
             raise ValueError(f"{path}:{lineno}: weight {wtxt!r} is not a number") from None
         if not np.isfinite(w):
             raise ValueError(f"{path}:{lineno}: weight must be finite")
-        edges.append((src, dst, w, lineno))
-    if not edges:
+        if kind == "influence" and not (0.0 < w < 1.0):
+            raise ValueError(f"{path}:{lineno}: influence weight of edge "
+                             f"({src}, {dst}) must lie in (0, 1), got {w}")
+        if kind == "revenue" and w < 0:
+            raise ValueError(f"{path}:{lineno}: revenue weight of edge "
+                             f"({src}, {dst}) must be nonnegative, got {w}")
+        s = src_ids.setdefault(src, len(src_ids))
+        t = dst_ids.setdefault(dst, len(dst_ids))
+        key = (s, t) if kind == "influence" else (min(s, t), max(s, t))
+        if key in weights:
+            what = "self-loop" if kind == "revenue" and s == t else "edge"
+            raise ValueError(f"{path}:{lineno}: duplicate {what} ({src}, {dst})")
+        weights[key] = w
+    if not weights:
         raise ValueError(f"{path}: no edges")
 
     if kind == "influence":
-        src_ids: dict[str, int] = {}
-        dst_ids: dict[str, int] = {}
-        probs: dict[tuple[int, int], float] = {}
-        for src, dst, w, lineno in edges:
-            if not (0.0 < w < 1.0):
-                raise ValueError(f"{path}:{lineno}: influence weight of edge "
-                                 f"({src}, {dst}) must lie in (0, 1), got {w}")
-            s = src_ids.setdefault(src, len(src_ids))
-            t = dst_ids.setdefault(dst, len(dst_ids))
-            if (s, t) in probs:
-                raise ValueError(f"{path}:{lineno}: duplicate edge ({src}, {dst})")
-            probs[(s, t)] = w
         return BipartiteInfluenceInstance(
-            len(src_ids), len(dst_ids), probs,
+            len(src_ids), len(dst_ids), weights,
             meta={"source_index": src_ids, "target_index": dst_ids, "path": str(path)})
-
-    node_ids: dict[str, int] = {}
-    raw_edges: dict[tuple[int, int], float] = {}
-    self_act: dict[int, float] = {}
-    for src, dst, w, lineno in edges:
-        if w < 0:
-            raise ValueError(f"{path}:{lineno}: revenue weight of edge "
-                             f"({src}, {dst}) must be nonnegative, got {w}")
-        s = node_ids.setdefault(src, len(node_ids))
-        t = node_ids.setdefault(dst, len(node_ids))
-        if s == t:
-            if s in self_act:
-                raise ValueError(f"{path}:{lineno}: duplicate self-loop ({src}, {dst})")
-            self_act[s] = w
-        else:
-            key = (min(s, t), max(s, t))
-            if key in raw_edges:
-                raise ValueError(f"{path}:{lineno}: duplicate edge ({src}, {dst})")
-            raw_edges[key] = w
-    n = len(node_ids)
+    n = len(src_ids)
     W = np.zeros((n, n))
-    for (s, t), w in raw_edges.items():
-        W[s, t] = W[t, s] = w
     sa = np.zeros(n)
-    for t, w in self_act.items():
-        sa[t] = w
+    for (s, t), w in weights.items():
+        if s == t:
+            sa[s] = w
+        else:
+            W[s, t] = W[t, s] = w
     try:
         return balanced_revenue(W, sa, np.full(n, float(u_scale)), alpha=1.0, beta=1.0,
-                                gamma=1.0, meta={"node_index": node_ids, "path": str(path)})
+                                gamma=1.0, meta={"node_index": src_ids, "path": str(path)})
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -287,12 +275,12 @@ def _subseed(seed: int, tag: int) -> int:
 def _monotone_nqp(cfg: ExperimentConfig, seed: int, sweep: float):
     inst, P0 = gen_monotone_nqp(cfg.n, cfg.m, seed)
     P = PolytopeDomain(P0.A, np.full(cfg.m, sweep), P0.upper)
-    return inst, inst.handle(P.box()), P, QUADRATIC_MODE
+    return inst, inst.handle(P.box()), P
 
 
 def _nonmonotone_nqp(cfg: ExperimentConfig, seed: int, sweep: float):
     inst, box = gen_nonmonotone_nqp(cfg.n, seed, u_scale=sweep)
-    return inst, inst.handle(box), PolytopeDomain([], [], box.upper), QUADRATIC_MODE
+    return inst, inst.handle(box), PolytopeDomain([], [], box.upper)
 
 
 def _load_data(cfg: ExperimentConfig, u_scale: float = 1.0):
@@ -311,36 +299,38 @@ def _budget_allocation(cfg: ExperimentConfig, seed: int, sweep: float):
         gen_bipartite_influence(cfg.n, 2 * cfg.n, 4 * cfg.n, seed)
     n = inst.dimension
     A = np.random.default_rng(_subseed(seed, 77)).uniform(0.5, 1.5, size=(1, n))
-    return inst, inst.handle(), PolytopeDomain(A, [0.25 * n * sweep], np.ones(n)), CONCAVE_MODE
+    return inst, inst.handle(), PolytopeDomain(A, [0.25 * n * sweep], np.ones(n))
 
 
 def _revenue(cfg: ExperimentConfig, seed: int, sweep: float):
     inst = _load_data(cfg, u_scale=sweep) if cfg.data_path else \
         gen_revenue(cfg.n, 3 * cfg.n, seed, u_scale=sweep)
-    return inst, inst.handle(), PolytopeDomain([], [], inst.upper), REVENUE_MODE
+    return inst, inst.handle(), PolytopeDomain([], [], inst.upper)
 
 
-# Each experiment: the domain of its instances ("polytope", or "box": a polytope
-# without rows), the kind of edge list a set ``data_path`` must hold (None: it
-# reads no file), its default methods, and its build function
-# (cfg, seed, sweep) -> (instance, handle, polytope, mode).
-_Experiment = namedtuple("_Experiment", "domain data methods build")
+# Each experiment: the 1-D mode of its box methods (None for a polytope
+# experiment, on which no box method runs; a box is a polytope without rows),
+# the kind of edge list a set ``data_path`` must hold (None: it reads no file),
+# its default methods, and its build function
+# (cfg, seed, sweep) -> (instance, handle, polytope).
+_Experiment = namedtuple("_Experiment", "mode data methods build")
 _EXPERIMENTS = {
-    "monotone_nqp": _Experiment("polytope", None, [
+    "monotone_nqp": _Experiment(None, None, [
         "frank_wolfe", "random", "random_cube", "proj_grad"], _monotone_nqp),
-    "budget_allocation": _Experiment("polytope", "influence", [
+    "budget_allocation": _Experiment(None, "influence", [
         "frank_wolfe", "random", "random_cube", "proj_grad"], _budget_allocation),
-    "nonmonotone_nqp": _Experiment("box", None, [
+    "nonmonotone_nqp": _Experiment(QUADRATIC_MODE, None, [
         "double_greedy", "random_cube", "single_greedy", "proj_grad"], _nonmonotone_nqp),
-    "revenue": _Experiment("box", "revenue", [
+    "revenue": _Experiment(REVENUE_MODE, "revenue", [
         "double_greedy", "random_cube", "single_greedy"], _revenue),
 }
 
 
 def _build_instance(cfg: ExperimentConfig, seed: int, sweep: float) -> dict:
     """Instance context for one (seed, sweep) cell: handle, domains, 1-D mode."""
-    inst, handle, P, mode = _EXPERIMENTS[cfg.experiment].build(cfg, seed, sweep)
-    return {"handle": handle, "polytope": P, "box": P.box(), "mode": mode, "instance": inst}
+    spec = _EXPERIMENTS[cfg.experiment]
+    inst, handle, P = spec.build(cfg, seed, sweep)
+    return {"handle": handle, "polytope": P, "box": P.box(), "mode": spec.mode, "instance": inst}
 
 
 # Each method: the ctx key of the domain it runs on, and its call (ctx, cfg, seed,

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
-                   SolverTrace, as_point, check_positive_int, eval_batch)
+                   SolverTrace, as_point, as_stack, check_positive_int, eval_batch)
 from .geometry import LPSolution, feasibility_residual, linear_maximize, still_optimal
 
 QUADRATIC_MODE = "quadratic_closed_form"
@@ -131,10 +131,7 @@ def frank_wolfe_variant(
 def _envelope(a: float, c: float, d: float, b: float,
               fa: float, fc: float, fd: float, fb: float) -> float:
     """Upper bound on a concave g over [a, b] from its values at a < c < d < b:
-    g lies under every secant extended past its ends.  Infinite when rounding
-    has merged two of the points, as with a tol near the spacing of floats."""
-    if not a < c < d < b:
-        return math.inf
+    g lies under every secant extended past its ends."""
     s_ac = (fc - fa) / (c - a)
     s_cd = (fd - fc) / (d - c)
     s_db = (fb - fd) / (b - d)
@@ -167,7 +164,9 @@ def _search(mode: str, j: int, lo: float, hi: float, tol: float):
       more than 1e-12 (1 + |f_end|), the maximum lies within tol of the end
       and the search stops.
 
-    Otherwise golden section runs down to a bracket of width < tol.  Unless
+    Otherwise golden section runs down to a bracket of width < tol, or until
+    rounding leaves no room for a < c < d < b (a tol near the spacing of
+    floats at the bracket), where it could narrow the bracket no further.  Unless
     the envelope rule stopped it, the gap is the final bracket width (tol
     for the end rule) times the steepest slope observed between probes, plus
     1e-12 (1 + |best|).  The probes are a prefix of golden section's plus at
@@ -220,7 +219,7 @@ def _search(mode: str, j: int, lo: float, hi: float, tol: float):
         fa, fb, fc, fd = values[-4:]
         top = max(fa, fb, fc, fd)
         end_probed = False
-        while b - a > tol:
+        while b - a > tol and a < c < d < b:
             bound = _envelope(a, c, d, b, fa, fc, fd, fb)
             if anchor is not None and bound < anchor:
                 return lo, anchor, 0.0
@@ -309,15 +308,7 @@ def maximize_1d(f: ObjectiveHandle, x, j: int, lo: float, hi: float,
     A non-finite probe value raises ``ValueError`` naming the row, the
     coordinate and the probe.
     """
-    X = np.asarray(x, dtype=float)
-    single = X.ndim < 2
-    if single:
-        X = X.reshape(1, -1)
-    if X.ndim != 2 or X.shape[1] != f.dimension:
-        raise ValueError(f"expected a point or a (k, {f.dimension}) stack, "
-                         f"got shape {np.shape(x)}")
-    if not np.isfinite(X).all():
-        raise ValueError("point contains non-finite entries")
+    X, single = as_stack(x, f.dimension)
     if not 0 <= j < f.dimension:
         raise ValueError(f"coordinate {j} out of range")
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -25,12 +25,24 @@ def _offdiag(H: Array) -> Array:
 class _Family:
     """Evaluation shared by every family: ``value`` is the one-row case of the
     family's ``value_batch``.  A family whose domain is the nonnegative
-    orthant sets ``_negative`` to the message a negative coordinate raises."""
+    orthant sets ``_negative`` to the message a negative coordinate raises.
+    ``_flags`` is the family's (name, monotone, submodular, dr_submodular),
+    which ``handle()`` declares; the handle is differentiable exactly when
+    the family defines ``gradient``."""
 
     _negative: str | None = None
+    _flags: tuple[str, bool, bool, bool]
 
     def value(self, x) -> float:
         return float(self.value_batch(as_point(x, self.dimension)[None, :])[0])
+
+    def handle(self) -> ObjectiveHandle:
+        name, monotone, submodular, dr_submodular = self._flags
+        gradient = getattr(self, "gradient", None)
+        return ObjectiveHandle(
+            dimension=self.dimension, value=self.value, value_batch=self.value_batch,
+            gradient=gradient, monotone=monotone, submodular=submodular,
+            dr_submodular=dr_submodular, differentiable=gradient is not None, name=name)
 
     def _rows(self, X) -> Array:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -190,6 +202,7 @@ class BipartiteInfluenceInstance(_Family):
     meta: dict = field(default_factory=dict)
 
     _negative = "assignments must be nonnegative"
+    _flags = ("influence", True, True, True)
 
     def __post_init__(self):
         if not self.probs:
@@ -217,12 +230,6 @@ class BipartiteInfluenceInstance(_Family):
         X = self._rows(X)
         survival = X @ self._L
         return self.n_customers - np.exp(survival, out=survival).sum(axis=1)
-
-    def handle(self) -> ObjectiveHandle:
-        return ObjectiveHandle(
-            dimension=self.n_channels, value=self.value, gradient=self.gradient,
-            value_batch=self.value_batch, monotone=True, submodular=True,
-            dr_submodular=True, differentiable=True, name="influence")
 
 
 def gen_bipartite_influence(n_channels: int, n_customers: int, n_edges: int,
@@ -258,6 +265,8 @@ class RevenueInstance(_Family):
     gamma: float = 1.0
     upper: Array | None = None
     meta: dict = field(default_factory=dict)
+
+    _flags = ("revenue", False, True, False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -298,12 +307,6 @@ class RevenueInstance(_Family):
         inflow = np.where(X == 0, X @ self.weights, 0.0)
         return (self.alpha * np.sqrt(inflow).sum(axis=1)
                 + self.beta * (X @ self.self_activation) - self.gamma * X.sum(axis=1))
-
-    def handle(self) -> ObjectiveHandle:
-        return ObjectiveHandle(
-            dimension=self.dimension, value=self.value, value_batch=self.value_batch,
-            monotone=False, submodular=True, dr_submodular=False,
-            differentiable=False, name="revenue")
 
 
 def balanced_revenue(weights: Array, self_activation: Array, upper: Array,
@@ -356,6 +359,7 @@ class SensorInstance(_Family):
     meta: dict = field(default_factory=dict)
 
     _negative = "energy levels must be nonnegative"
+    _flags = ("sensor", True, True, True)
 
     def __post_init__(self):
         self.times = np.atleast_2d(np.asarray(self.times, dtype=float))
@@ -410,12 +414,6 @@ class SensorInstance(_Family):
             g[order] += (-self._logq) * surv * saved * prefix + self._logq * tail
         return g / self.n_events
 
-    def handle(self) -> ObjectiveHandle:
-        return ObjectiveHandle(
-            dimension=self.dimension, value=self.value, gradient=self.gradient,
-            value_batch=self.value_batch, monotone=True, submodular=True,
-            dr_submodular=True, differentiable=True, name="sensor")
-
 
 def gen_sensor(n_locations: int, n_events: int, seed: int) -> SensorInstance:
     rng = np.random.default_rng(seed)
@@ -437,6 +435,7 @@ class SummarizationInstance(_Family):
     meta: dict = field(default_factory=dict)
 
     _negative = "scores must be nonnegative"
+    _flags = ("summarization", False, True, True)
     _phi0_slope = 1e4  # one-sided difference quotient of sqrt at 0, step 1e-8
 
     def __post_init__(self):
@@ -463,12 +462,6 @@ class SummarizationInstance(_Family):
         X = self._rows(X)
         return np.sqrt(X) @ self._rowsum - np.einsum("ij,ij->i", X @ self.similarity, X)
 
-    def handle(self) -> ObjectiveHandle:
-        return ObjectiveHandle(
-            dimension=self.dimension, value=self.value, gradient=self.gradient,
-            value_batch=self.value_batch, monotone=False, submodular=True,
-            dr_submodular=True, differentiable=True, name="summarization")
-
 
 def gen_summarization(n: int, seed: int) -> SummarizationInstance:
     rng = np.random.default_rng(seed)
@@ -490,6 +483,7 @@ class FacilityInstance(_Family):
     meta: dict = field(default_factory=dict)
 
     _negative = "facility scales must be nonnegative"
+    _flags = ("facility", True, True, False)
 
     def __post_init__(self):
         self.weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
@@ -524,12 +518,6 @@ class FacilityInstance(_Family):
         rows[...] = best.T
         return rows.sum(axis=1)
 
-    def handle(self) -> ObjectiveHandle:
-        return ObjectiveHandle(
-            dimension=self.dimension, value=self.value, value_batch=self.value_batch,
-            monotone=True, submodular=True, dr_submodular=False,
-            differentiable=False, name="facility")
-
 
 def gen_facility(n_facilities: int, n_customers: int, seed: int) -> FacilityInstance:
     rng = np.random.default_rng(seed)
@@ -537,7 +525,7 @@ def gen_facility(n_facilities: int, n_customers: int, seed: int) -> FacilityInst
                             meta={"generator": "facility", "seed": seed})
 
 
-def _bilinear_handle(n: int = 2) -> ObjectiveHandle:
+def _bilinear_handle() -> ObjectiveHandle:
     """f(x) = x_1 x_2: the canonical non-submodular toy (positive cross term)."""
     return ObjectiveHandle(
         dimension=2,

@@ -108,6 +108,19 @@ def test_proj_grad_iterates_feasible_on_polytope():
     assert all(r.feasibility_residual <= 1e-8 for r in trace.records)
 
 
+def test_proj_grad_evaluates_f_once_per_iterate():
+    # the start point and each of the iters steps, the final point included
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return float(np.sum(x))
+    f = scalar_handle(2, value, gradient=lambda x: np.ones(2), differentiable=True)
+    x, v, trace = proj_grad_ascent(f, SIMPLEX, 0.1, 7)
+    assert len(calls) == 7 + 1
+    assert v == trace.final_objective == float(np.sum(x))
+
+
 def test_single_greedy_modular():
     inst = QuadraticInstance(np.zeros((2, 2)), [2.0, -1.0])
     box = BoxDomain([0, 0], [1, 1])

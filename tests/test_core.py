@@ -5,6 +5,7 @@ from subcont import (BoxDomain, ObjectiveHandle, PolytopeDomain, QuadraticInstan
                      SolverTrace, check_monotone, feasibility_residual,
                      finite_diff_gradient, grid_brute_force, maximize_1d, random_best_of,
                      random_cube_baseline)
+from subcont.core import as_stack
 from subcont.solvers import CONCAVE_MODE
 
 
@@ -55,6 +56,23 @@ def test_finite_diff_nonfinite_identifies_coordinate():
 
     with pytest.raises(ValueError, match="coordinate 1"):
         finite_diff_gradient(bad, np.array([0.0, 0.5]), h=0.1)
+
+
+def test_as_stack_takes_one_point_or_a_stack_without_copying():
+    X, single = as_stack([1, 2], 2)
+    assert single and X.tolist() == [[1.0, 2.0]]
+    stack = np.zeros((3, 2))
+    X, single = as_stack(stack, 2)
+    assert not single and X is stack
+    X, single = as_stack((np.zeros(2), np.ones(2)), 2)
+    assert not single and X.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 3"):
+        as_stack(np.zeros(3), 2)
+    for bad in (np.zeros((3, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match=r"expected a point or a \(k, 2\) stack"):
+            as_stack(bad, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        as_stack([[0.0, np.nan]], 2)
 
 
 def test_box_validation():

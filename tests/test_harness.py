@@ -18,7 +18,8 @@ import subcont
 from subcont import (BoxDomain, ExperimentConfig, ObjectiveHandle, PolytopeDomain,
                      QuadraticInstance, gen_nonmonotone_nqp, grid_brute_force,
                      load_bipartite_tsv, proj_grad_ascent, read_trace_csv, run_experiment)
-from subcont.harness import TRACE_HEADER, _write_json
+from subcont.harness import TRACE_HEADER, _build_instance, _write_json
+from subcont.solvers import QUADRATIC_MODE, REVENUE_MODE
 from subcont.zoo import BipartiteInfluenceInstance, RevenueInstance
 
 
@@ -74,6 +75,20 @@ def test_load_tsv_malformed_line_numbered(tmp_path):
     p2 = _write(tmp_path, "# kind=influence\na\tb\tnotafloat\n", "nf.tsv")
     with pytest.raises(ValueError, match=":2"):
         load_bipartite_tsv(p2)
+
+
+@pytest.mark.parametrize("kind, lines, message", [
+    ("influence", ["a\tb\t1.5"], r":2: influence weight of edge \(a, b\) must lie in \(0, 1\)"),
+    ("influence", ["a\tb\t0.5", "a\tb\t0.4"], r":3: duplicate edge \(a, b\)"),
+    ("revenue", ["a\tb\t-1"], r":2: revenue weight of edge \(a, b\) must be nonnegative"),
+    ("revenue", ["a\tb\t0.5", "b\ta\t0.4"], r":3: duplicate edge \(b, a\)"),
+    ("revenue", ["a\ta\t0.5", "a\ta\t0.4"], r":3: duplicate self-loop \(a, a\)"),
+])
+def test_load_tsv_reports_the_first_bad_line_in_file_order(tmp_path, kind, lines, message):
+    # a range or duplicate error comes before a malformed line further down
+    p = _write(tmp_path, "\n".join([f"# kind={kind}", *lines, "broken line"]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_bipartite_tsv(p)
 
 
 def test_load_revenue_tsv_balances_gamma_with_a_located_error(tmp_path):
@@ -462,6 +477,17 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(experiment="nonmonotone_nqp", n=9, grid_oracle=True).validate()
     with pytest.raises(ValueError, match="box-constrained"):
         ExperimentConfig(experiment="monotone_nqp", methods=["double_greedy"]).validate()
+
+
+@pytest.mark.parametrize("experiment, mode", [
+    ("monotone_nqp", None), ("budget_allocation", None),
+    ("nonmonotone_nqp", QUADRATIC_MODE), ("revenue", REVENUE_MODE)])
+def test_a_cell_carries_its_experiment_s_1d_mode(experiment, mode):
+    # a box experiment's cell is a polytope without rows; no box method runs
+    # on the others, which have no 1-D mode
+    ctx = _build_instance(ExperimentConfig(experiment=experiment, n=3), 0, 1.0)
+    assert ctx["mode"] == mode
+    assert (mode is None) == bool(ctx["polytope"].num_rows)
 
 
 @pytest.mark.parametrize("field, value", [("n", 2.5), ("n", 0), ("m", 1.5), ("m", 0),

@@ -556,6 +556,10 @@ def test_maximize_1d_nonfinite_probe_names_the_row():
 
 def test_maximize_1d_errors():
     h = _scalar_handle(lambda z: z)
+    with pytest.raises(ValueError, match="dimension mismatch: expected 1, got 2"):
+        maximize_1d(h, np.zeros(2), 0, 0.0, 1.0, QUADRATIC_MODE)
+    with pytest.raises(ValueError, match=r"expected a point or a \(k, 1\) stack"):
+        maximize_1d(h, np.zeros((2, 2)), 0, 0.0, 1.0, QUADRATIC_MODE)
     with pytest.raises(ValueError):
         maximize_1d(h, np.zeros(1), 0, 1.0, 0.0, QUADRATIC_MODE)
     with pytest.raises(ValueError):
@@ -649,6 +653,40 @@ def test_maximize_1d_early_stops_keep_the_gap_sound():
         z, val, gap = maximize_1d(_scalar_handle(fn), np.zeros(1), 0, 0.0, 1.0, CONCAVE_MODE)
         assert gap >= 0.0 and val == fn(z)
         assert val >= fn(grid).max() - gap
+
+
+@pytest.mark.parametrize("mode", [QUADRATIC_MODE, CONCAVE_MODE, REVENUE_MODE])
+def test_maximize_1d_on_a_point_interval_makes_one_probe(mode):
+    h, seen = _probed(lambda z: (z - 0.2) ** 2)
+    assert maximize_1d(h, np.zeros(1), 0, 0.4, 0.4, mode) == (0.4, (0.4 - 0.2) ** 2, 0.0)
+    assert seen == [0.4]
+
+
+def test_revenue_search_on_an_interval_narrower_than_eps_returns_the_anchor():
+    # golden section runs on (lo + eps, hi], eps = 1e-10, which is empty here
+    h, seen = _probed(lambda z: z)
+    z, val, gap = maximize_1d(h, np.zeros(1), 0, 0.5, 0.5 + 5e-11, REVENUE_MODE)
+    assert (z, val, gap) == (0.5, 0.5, 0.0)
+    assert seen == [0.5]
+
+
+@pytest.mark.parametrize("mode", [CONCAVE_MODE, REVENUE_MODE])
+@pytest.mark.parametrize("scale, peak, hi, tol", [(1e6, 0.3, 1.0, 1e-17),
+                                                  (1.0, 3e7, 1e8, 1e-10)])
+def test_golden_section_ends_when_rounding_stops_the_bracket_shrinking(mode, scale, peak,
+                                                                       hi, tol):
+    # the bracket cannot shrink below tol: golden section's inner points
+    # merge first, and the search must end there
+    calls = []
+
+    def value_batch(X):
+        calls.append(len(X))
+        if len(calls) > 200:
+            raise RuntimeError("the search does not end")
+        return -scale * np.abs(X[:, 0] - peak)
+    h = ObjectiveHandle(1, lambda x: float(value_batch(x[None, :])[0]), value_batch)
+    z, val, gap = maximize_1d(h, np.zeros(1), 0, 0.0, hi, mode, tol)
+    assert 0.0 <= -val <= gap
 
 
 def test_revenue_search_stops_when_the_envelope_falls_below_the_anchor():
@@ -760,7 +798,8 @@ _GREEDY_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("family, seed, dg_digest, sg_digest", _GREEDY_DIGESTS)
+@pytest.mark.parametrize("family, seed, dg_digest, sg_digest", _GREEDY_DIGESTS,
+                         ids=[f"{family}-{seed}" for family, seed, _, _ in _GREEDY_DIGESTS])
 def test_box_greedy_outputs_are_pinned(family, seed, dg_digest, sg_digest):
     h, box, mode = _greedy_family(family, seed)
     x, tx, ty = double_greedy(h, box, DGConfig(seed=1, mode=mode))

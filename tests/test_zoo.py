@@ -387,6 +387,24 @@ def test_declared_flags_are_certified_by_the_property_suite(name):
         assert check_monotone(handle, box, 200, seed=7).ok
 
 
+# (name, monotone, submodular, dr_submodular, differentiable) of each handle()
+_DECLARED = {
+    "influence": ("influence", True, True, True, True),
+    "revenue": ("revenue", False, True, False, False),
+    "sensor": ("sensor", True, True, True, True),
+    "summarization": ("summarization", False, True, True, True),
+    "facility": ("facility", True, True, False, False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DECLARED))
+def test_handle_declares_the_family_flags(family):
+    h, _ = named_instance(family, n=3, seed=0)
+    assert (h.name, h.monotone, h.submodular, h.dr_submodular,
+            h.differentiable) == _DECLARED[family]
+    assert h.dimension == 3 and (h.gradient is not None) == h.differentiable
+
+
 def test_named_instance_unknown():
     with pytest.raises(ValueError):
         named_instance("nope")
