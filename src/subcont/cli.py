@@ -10,6 +10,7 @@ seeds are base + index so sweeps stay independently reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .core import BoxDomain
 from .harness import ExperimentConfig, grid_brute_force, load_bipartite_tsv, run_experiment
-from .properties import CHECKERS
+from .properties import CHECKERS, DEFAULT_TOL
 from .zoo import RevenueInstance, named_instance
 
 DEFAULT_BASE_SEED = 0
@@ -51,24 +52,25 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "continuous maximization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment sweep")
+    # unset flags stay out of the namespace, so ExperimentConfig's defaults hold
+    run = sub.add_parser("run", help="run an experiment sweep",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--experiment", required=True)
-    run.add_argument("--n", type=int, default=4)
-    run.add_argument("--m", type=int, default=2)
-    run.add_argument("--K", type=int, default=50)
-    run.add_argument("--seeds", type=int, default=1, help="number of instance seeds")
+    run.add_argument("--n", type=int)
+    run.add_argument("--m", type=int)
+    run.add_argument("--K", type=int)
+    run.add_argument("--seeds", dest="seed_count", type=int, default=1,
+                     help="number of instance seeds")
     run.add_argument("--seed-base", type=int, default=None)
-    run.add_argument("--ks", type=int, default=1000)
-    run.add_argument("--steps", type=str, default=None,
-                     help="comma-separated ProjGrad step sizes")
-    run.add_argument("--sweep", type=str, default=None,
-                     help="comma-separated sweep values")
-    run.add_argument("--methods", type=str, default=None,
-                     help="comma-separated method names")
+    run.add_argument("--ks", dest="k_s", type=int)
+    run.add_argument("--steps", help="comma-separated ProjGrad step sizes")
+    run.add_argument("--sweep", help="comma-separated sweep values")
+    run.add_argument("--methods", help="comma-separated method names")
     run.add_argument("--grid-oracle", action="store_true")
-    run.add_argument("--grid", type=int, default=51, help="grid points per dimension")
-    run.add_argument("--data", type=str, default=None)
-    run.add_argument("--out", type=str, default="results")
+    run.add_argument("--grid", dest="grid_points", type=int,
+                     help="grid points per dimension")
+    run.add_argument("--data", dest="data_path")
+    run.add_argument("--out", dest="output_dir")
 
     check = sub.add_parser("check", help="run a sampled property certificate")
     check.add_argument("--function", required=True,
@@ -78,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=int, default=4)
     check.add_argument("--trials", type=int, default=500)
     check.add_argument("--seed", type=int, default=None)
-    check.add_argument("--tol", type=float, default=1e-9)
+    check.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     oracle = sub.add_parser("oracle", help="grid brute-force maximization")
     oracle.add_argument("--function", required=True)
@@ -88,24 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _comma_list(text: str, kind) -> list:
+    return [kind(s) for s in text.split(",") if s]
+
+
 def _cmd_run(args) -> int:
     base = _base_seed(args.seed_base)
-    cfg = ExperimentConfig(
-        experiment=args.experiment,
-        n=args.n, m=args.m, K=args.K,
-        seeds=[base + i for i in range(args.seeds)],
-        k_s=args.ks,
-        data_path=args.data,
-        output_dir=args.out,
-        grid_oracle=args.grid_oracle,
-        grid_points=args.grid,
-    )
-    if args.steps:
-        cfg.steps = [float(s) for s in args.steps.split(",") if s]
-    if args.sweep:
-        cfg.sweep = [float(s) for s in args.sweep.split(",") if s]
-    if args.methods:
-        cfg.methods = [m for m in args.methods.split(",") if m]
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+             if hasattr(args, f.name)}
+    for key, kind in (("steps", float), ("sweep", float), ("methods", str)):
+        if key in given:
+            given[key] = _comma_list(given[key], kind)
+    cfg = ExperimentConfig(**given, seeds=[base + i for i in range(args.seed_count)])
     records = run_experiment(cfg)
     print(f"wrote {len(records)} result records to {cfg.output_dir}")
     return 0

@@ -121,8 +121,8 @@ class ObjectiveHandle:
     ``value_batch`` is required: it maps a (k, n) array of row points to their
     k values, and must agree with ``value`` on every row.  The :mod:`subcont.zoo`
     families write their formula once, as ``value_batch``, and ``value`` is its
-    one-row case.  ``gradient`` is present exactly when ``differentiable`` is
-    set.  The structural flags are declared by constructors; the sampled
+    one-row case.  ``differentiable`` is read off ``gradient``, not declared.
+    The structural flags are declared by constructors; the sampled
     certificates in :mod:`subcont.properties` are the way to actually verify
     them.
     """
@@ -134,16 +134,17 @@ class ObjectiveHandle:
     monotone: bool = False
     dr_submodular: bool = False
     submodular: bool = False
-    differentiable: bool = False
     name: str = ""
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.differentiable != (self.gradient is not None):
-            raise ValueError("gradient must be present exactly when differentiable is set")
         if self.dr_submodular and not self.submodular:
             raise ValueError("dr_submodular implies submodular")
+
+    @property
+    def differentiable(self) -> bool:
+        return self.gradient is not None
 
 
 def eval_batch(f: ObjectiveHandle, X: Array) -> Array:

@@ -41,15 +41,14 @@ class LPSolution:
 
 
 def feasibility_residual(domain, x) -> float:
-    """Largest constraint violation of x; 0 when feasible."""
+    """Largest constraint violation of x; +0.0 when feasible."""
     x = as_point(x, domain.dimension)
-    if isinstance(domain, BoxDomain):
-        res = max((domain.lower - x).max(initial=0.0), (x - domain.upper).max(initial=0.0))
-        return float(max(res, 0.0))
-    res = max((-x).max(initial=0.0), (x - domain.upper).max(initial=0.0))
-    if domain.num_rows:
+    box = isinstance(domain, BoxDomain)
+    res = max(((domain.lower if box else 0.0) - x).max(initial=0.0),
+              (x - domain.upper).max(initial=0.0))
+    if not box and domain.num_rows:
         res = max(res, (domain.A @ x - domain.b).max(initial=0.0))
-    return float(max(res, 0.0))
+    return float(max(0.0, res))   # 0.0 first, so a -0.0 entry is not returned
 
 
 def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
@@ -194,9 +193,12 @@ def project_polytope(P: PolytopeDomain, x) -> Array:
     ``min ||M u - e_{n+1}||``, ``u >= 0``, ``M = [-G^T; (G x - h)^T / s]``.
     The scale s bounds the distance to P, so ``|r[n]|`` stays near 1 and far
     points lose no digits.  Finite and deterministic; the result is clipped
-    into the box against round-off.
+    into the box against round-off.  Without rows P is a box, and the clip
+    alone is the projection.
     """
     x = as_point(x, P.dimension)
+    if not P.num_rows:
+        return np.clip(x, 0.0, P.upper)
     n = P.dimension
     s = max(1.0, float(np.linalg.norm(x - ratio_shrink(P, np.clip(x, 0.0, P.upper)))))
     M = np.vstack([np.hstack([-P.A.T, np.eye(n), -np.eye(n)]),

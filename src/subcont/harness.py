@@ -98,14 +98,21 @@ class ExperimentConfig:
         if not self.steps and "proj_grad" in methods:
             raise ValueError("proj_grad needs at least one step size")
         _reject_collisions("methods", _expand_methods(self), str)
-        if self.grid_oracle and (dimension > 6 or self.grid_points ** dimension > 1e8):
-            where = f"{self.data_path}: the file gives n = {dimension}; " if self.data_path else ""
-            raise ValueError(f"{where}grid oracle guard: needs n <= 6 and "
-                             "grid_points^n <= 1e8")
+        if self.grid_oracle:
+            _check_grid_size(dimension, self.grid_points, "grid_points",
+                             f"{self.data_path}: the file gives n = {dimension}; "
+                             if self.data_path else "")
 
     def resolved_methods(self) -> list[str]:
         return list(self.methods) if self.methods is not None \
             else list(_EXPERIMENTS[self.experiment].methods)
+
+
+def _check_grid_size(n: int, points: int, what: str, where: str = "") -> None:
+    """The grid oracle's size limit, n <= 6 and points^n <= 1e8; the message
+    names the point count ``what`` and starts with ``where``."""
+    if n > 6 or points ** n > 1e8:
+        raise ValueError(f"{where}grid oracle guard: needs n <= 6 and {what}^n <= 1e8")
 
 
 def _reject_collisions(what: str, values, name) -> None:
@@ -229,8 +236,7 @@ def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
     n = lo.shape[0]
     check_positive_int("points_per_dim", points_per_dim)
     check_positive_int("chunk", chunk)
-    if n > 6 or points_per_dim ** n > 1e8:
-        raise ValueError("grid oracle guard: needs n <= 6 and points_per_dim^n <= 1e8")
+    _check_grid_size(n, points_per_dim, "points_per_dim")
     axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(n)]
     lead = 1
     while points_per_dim ** (n - lead) > chunk:
@@ -345,10 +351,9 @@ _METHODS = {
     "random_cube": _Method("polytope", lambda ctx, cfg, seed, step: random_cube_baseline(
         ctx["handle"], ctx["polytope"], cfg.k_s, _subseed(seed, 13))),
     # proj_grad_ascent returns (x, value, trace) and double_greedy (x, trace_x,
-    # trace_y); a polytope without rows is a box, where the projection is a clip
+    # trace_y)
     "proj_grad": _Method("polytope", lambda ctx, cfg, seed, step: proj_grad_ascent(
-        ctx["handle"], ctx["polytope"] if ctx["polytope"].num_rows else ctx["box"],
-        step, cfg.K)[::2]),
+        ctx["handle"], ctx["polytope"], step, cfg.K)[::2]),
     "double_greedy": _Method("box", lambda ctx, cfg, seed, step: double_greedy(
         ctx["handle"], ctx["box"], DGConfig(seed=_subseed(seed, 5), mode=ctx["mode"]))[:2]),
     "single_greedy": _Method("box", lambda ctx, cfg, seed, step: single_greedy(

@@ -72,48 +72,42 @@ def _ordered_pair(rng, domain, trials):
     return np.minimum(U, V), np.maximum(U, V)
 
 
-def _gain_excess(f, A, B, rows, idx, k) -> Array:
-    """Per row, the gain of a step k along coordinate idx taken at B, minus
-    the same gain taken at A: a diminishing-returns violation when positive."""
+def _check_gain(checker: str, f: ObjectiveHandle, domain: BoxDomain, trials: int,
+                tol: float, seed: int, weak: bool) -> PropertyReport:
+    """The diminishing-returns gain inequality on sampled a <= b: the gain of a
+    step k along coordinate i, ``f(a + k e_i) - f(a) >= f(b + k e_i) - f(b)``.
+    The weak form first sets ``a_i = b_i = z`` for a uniform z.  The step k is
+    uniform on ``(0, upper_i - b_i]``."""
+    check_positive_int("trials", trials)
+    rng = np.random.default_rng(seed)
+    A, B = _ordered_pair(rng, domain, trials)
+    idx = rng.integers(domain.dimension, size=trials)
+    rows = np.arange(trials)
+    hi = domain.upper[idx]
+    if weak:
+        lo = domain.lower[idx]
+        A[rows, idx] = B[rows, idx] = lo + rng.random(trials) * (hi - lo)
+    k = (1.0 - rng.random(trials)) * (hi - B[rows, idx])
     Ak = A.copy()
     Ak[rows, idx] += k
     Bk = B.copy()
     Bk[rows, idx] += k
-    return (eval_batch(f, Bk) - eval_batch(f, B)) - (eval_batch(f, Ak) - eval_batch(f, A))
+    viol = (eval_batch(f, Bk) - eval_batch(f, B)) - (eval_batch(f, Ak) - eval_batch(f, A))
+    return _report(checker, viol, lambda i: (A[i], B[i], int(idx[i]), float(k[i])), trials, tol)
 
 
 def check_weak_dr(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
                   tol: float = DEFAULT_TOL, seed: int = 0) -> PropertyReport:
     """Diminishing returns restricted to coordinates where the base points agree:
     for a <= b with a_i = b_i, the gain of a step k along i is no larger at b."""
-    check_positive_int("trials", trials)
-    rng = np.random.default_rng(seed)
-    A, B = _ordered_pair(rng, domain, trials)
-    idx = rng.integers(domain.dimension, size=trials)
-    rows = np.arange(trials)
-    lo, hi = domain.lower[idx], domain.upper[idx]
-    z = lo + rng.random(trials) * (hi - lo)
-    A[rows, idx] = z
-    B[rows, idx] = z
-    k = (1.0 - rng.random(trials)) * (hi - z)
-    viol = _gain_excess(f, A, B, rows, idx, k)
-    return _report("check_weak_dr", viol,
-                   lambda i: (A[i], B[i], int(idx[i]), float(k[i])), trials, tol)
+    return _check_gain("check_weak_dr", f, domain, trials, tol, seed, weak=True)
 
 
 def check_dr(f: ObjectiveHandle, domain: BoxDomain, trials: int = 200,
              tol: float = DEFAULT_TOL, seed: int = 0) -> PropertyReport:
     """Unrestricted diminishing returns: for any a <= b, the gain of a step k
     along any coordinate is no larger at b than at a."""
-    check_positive_int("trials", trials)
-    rng = np.random.default_rng(seed)
-    A, B = _ordered_pair(rng, domain, trials)
-    idx = rng.integers(domain.dimension, size=trials)
-    rows = np.arange(trials)
-    k = (1.0 - rng.random(trials)) * (domain.upper[idx] - B[rows, idx])
-    viol = _gain_excess(f, A, B, rows, idx, k)
-    return _report("check_dr", viol,
-                   lambda i: (A[i], B[i], int(idx[i]), float(k[i])), trials, tol)
+    return _check_gain("check_dr", f, domain, trials, tol, seed, weak=False)
 
 
 def check_coordinatewise_concave(f: ObjectiveHandle, domain: BoxDomain,

@@ -27,8 +27,8 @@ class _Family:
     family's ``value_batch``.  A family whose domain is the nonnegative
     orthant sets ``_negative`` to the message a negative coordinate raises.
     ``_flags`` is the family's (name, monotone, submodular, dr_submodular),
-    which ``handle()`` declares; the handle is differentiable exactly when
-    the family defines ``gradient``."""
+    which ``handle()`` declares; the handle carries the family's ``gradient``
+    where it defines one."""
 
     _negative: str | None = None
     _flags: tuple[str, bool, bool, bool]
@@ -38,11 +38,10 @@ class _Family:
 
     def handle(self) -> ObjectiveHandle:
         name, monotone, submodular, dr_submodular = self._flags
-        gradient = getattr(self, "gradient", None)
         return ObjectiveHandle(
             dimension=self.dimension, value=self.value, value_batch=self.value_batch,
-            gradient=gradient, monotone=monotone, submodular=submodular,
-            dr_submodular=dr_submodular, differentiable=gradient is not None, name=name)
+            gradient=getattr(self, "gradient", None), monotone=monotone,
+            submodular=submodular, dr_submodular=dr_submodular, name=name)
 
     def _rows(self, X) -> Array:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -117,7 +116,6 @@ class QuadraticInstance(_Family):
             monotone=self.monotone_on(box) if box is not None else False,
             submodular=self.is_submodular,
             dr_submodular=self.is_submodular and self.is_dr,
-            differentiable=True,
             name="quadratic",
         )
 
@@ -531,8 +529,7 @@ def _bilinear_handle() -> ObjectiveHandle:
         dimension=2,
         value=lambda x: float(x[0] * x[1]),
         gradient=lambda x: np.array([x[1], x[0]]),
-        value_batch=lambda X: X[:, 0] * X[:, 1],
-        differentiable=True, name="bilinear")
+        value_batch=lambda X: X[:, 0] * X[:, 1], name="bilinear")
 
 
 def named_instance(name: str, n: int = 4, seed: int = 0) -> tuple[ObjectiveHandle, BoxDomain]:

@@ -217,6 +217,30 @@ def test_criterion_07_method_ordering_at_benchmark_scale(method_ordering_experim
                 "20 seeds)", failures, elapsed)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("experiment, n, lead", [
+    ("nonmonotone_nqp", 100, "double_greedy"),
+    ("revenue", 100, "double_greedy"),
+    ("budget_allocation", 20, "frank_wolfe"),
+])
+def test_criterion_07_method_ordering_on_the_other_experiments(tmp_path, experiment, n, lead):
+    # the paper's method against every default baseline (each proj_grad step
+    # counts as one), at every default sweep value, over 20 seeds
+    start = time.perf_counter()
+    run_experiment(ExperimentConfig(experiment=experiment, n=n, seeds=list(range(20)),
+                                    output_dir=str(tmp_path)))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    failures = []
+    for sweep in ("0.5", "1", "1.5", "2"):
+        ours = summary["methods"][lead][sweep]["mean"]
+        for method, means in summary["methods"].items():
+            if means[sweep]["mean"] > ours:
+                failures.append(f"{sweep}: {lead} {ours} < {method} {means[sweep]['mean']}")
+    elapsed = time.perf_counter() - start
+    _verdict(7, f"mean method ordering on {experiment} (n={n}, 20 seeds)", failures,
+             elapsed)
+
+
 def test_criterion_08_lp_oracle_matches_vertex_enumeration():
     start = time.perf_counter()
     rng = np.random.default_rng(4096)

@@ -115,7 +115,7 @@ def test_proj_grad_evaluates_f_once_per_iterate():
     def value(x):
         calls.append(1)
         return float(np.sum(x))
-    f = scalar_handle(2, value, gradient=lambda x: np.ones(2), differentiable=True)
+    f = scalar_handle(2, value, gradient=lambda x: np.ones(2))
     x, v, trace = proj_grad_ascent(f, SIMPLEX, 0.1, 7)
     assert len(calls) == 7 + 1
     assert v == trace.final_objective == float(np.sum(x))
@@ -155,8 +155,7 @@ def test_baselines_feasible_on_random_instances():
 
 def test_proj_grad_rejects_a_scalar_gradient():
     # a scalar would broadcast over every coordinate of the step
-    f = scalar_handle(2, lambda x: float(np.sum(x)), gradient=lambda x: 1.0,
-                      differentiable=True)
+    f = scalar_handle(2, lambda x: float(np.sum(x)), gradient=lambda x: 1.0)
     with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 1"):
         proj_grad_ascent(f, BoxDomain([0, 0], [1, 1]), 0.1, 3)
 
@@ -168,7 +167,7 @@ def test_proj_grad_bad_gradient_names_the_method_the_handle_and_the_iteration():
         calls.append(1)
         return np.ones(2) if len(calls) < 3 else np.ones(3)
     f = scalar_handle(2, lambda x: float(np.sum(x)), gradient=gradient,
-                      differentiable=True, name="widening")
+                      name="widening")
     with pytest.raises(ValueError, match="proj_grad: gradient of 'widening' failed at "
                                          "iteration 3: dimension mismatch: expected 2, got 3"):
         proj_grad_ascent(f, BoxDomain([0, 0], [1, 1]), 0.1, 5)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from subcont import ExperimentConfig, PropertyReport
+from subcont import cli
 from subcont.cli import main
+from subcont.properties import DEFAULT_TOL
 
 
 def test_cli_run_experiment(tmp_path, capsys):
@@ -97,4 +100,48 @@ def test_cli_rejects_a_data_file_it_cannot_use(tmp_path, capsys, experiment, mes
                  "--out", str(out)])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_without_flags_builds_the_default_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SUBCONT_SEED", raising=False)
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+    out = str(tmp_path / "defaults")
+    assert main(["run", "--experiment", "monotone_nqp", "--out", out]) == 0
+    assert seen == [ExperimentConfig(experiment="monotone_nqp", output_dir=out)]
+
+
+def test_cli_run_passes_each_flag_to_its_config_field(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SUBCONT_SEED", raising=False)
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+    out = str(tmp_path / "flags")
+    assert main(["run", "--experiment", "budget_allocation", "--n", "5", "--m", "3",
+                 "--K", "7", "--seeds", "2", "--seed-base", "4", "--ks", "11",
+                 "--steps", "0.5,2", "--sweep", "1,3", "--methods", "frank_wolfe,random",
+                 "--grid-oracle", "--grid", "9", "--data", "e.tsv", "--out", out]) == 0
+    assert seen == [ExperimentConfig(
+        experiment="budget_allocation", n=5, m=3, K=7, seeds=[4, 5], k_s=11,
+        steps=[0.5, 2.0], sweep=[1.0, 3.0], methods=["frank_wolfe", "random"],
+        grid_oracle=True, grid_points=9, data_path="e.tsv", output_dir=out)]
+
+
+def test_cli_check_defaults_to_the_checkers_tolerance(monkeypatch, capsys):
+    seen = []
+
+    def spy(f, box, trials, tol, seed):
+        seen.append(tol)
+        return PropertyReport("pass", trials, 0.0, None, tol)
+    monkeypatch.setitem(cli.CHECKERS, "monotone", spy)
+    assert main(["check", "--function", "nonmonotone_nqp", "--property", "monotone"]) == 0
+    assert seen == [DEFAULT_TOL]
+
+
+@pytest.mark.parametrize("flag, value", [("--steps", "1,x"), ("--sweep", "0.5,,y")])
+def test_cli_run_rejects_a_malformed_list(tmp_path, capsys, flag, value):
+    out = tmp_path / "bad"
+    code = main(["run", "--experiment", "nonmonotone_nqp", flag, value, "--out", str(out)])
+    assert code == 1
+    assert "error: could not convert string to float" in capsys.readouterr().err
     assert not out.exists()

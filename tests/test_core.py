@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,13 @@ def test_polytope_validation():
 
 def test_objective_handle_flag_invariants():
     zero, zeros = (lambda x: 0.0), (lambda X: np.zeros(len(X)))
-    with pytest.raises(ValueError):
-        ObjectiveHandle(2, zero, zeros, differentiable=True)  # flag without gradient
-    with pytest.raises(ValueError):
-        ObjectiveHandle(2, zero, zeros, gradient=lambda x: x)  # gradient without flag
+    # differentiable follows gradient; it is not a constructor argument
+    assert not ObjectiveHandle(2, zero, zeros).differentiable
+    h = ObjectiveHandle(2, zero, zeros, gradient=lambda x: x)
+    assert h.differentiable
+    assert not dataclasses.replace(h, gradient=None).differentiable
+    with pytest.raises(TypeError, match="differentiable"):
+        ObjectiveHandle(2, zero, zeros, differentiable=True)
     with pytest.raises(ValueError):
         ObjectiveHandle(2, zero, zeros, dr_submodular=True, submodular=False)
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from subcont import (BoxDomain, LPSolution, PolytopeDomain, feasibility_residual,
                      gen_monotone_nqp, hit_and_run, linear_maximize,
-                     project_polytope, ratio_shrink, still_optimal)
+                     project_box, project_polytope, ratio_shrink, still_optimal)
 
 from lp_reference import (active_constraints, constraint_normals, enumerate_vertices,
                           nonbasic_constraints)
@@ -39,6 +40,17 @@ def test_feasibility_residual():
     assert feasibility_residual(SIMPLEX, [1.0, 1.0]) == pytest.approx(1.0)
     assert feasibility_residual(SIMPLEX, [-0.25, 0.5]) == pytest.approx(0.25)
     assert feasibility_residual(SIMPLEX, [0.0, 1.5]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("domain", [BoxDomain(np.zeros(3), np.ones(3)),
+                                    PolytopeDomain(np.zeros((0, 3)), [], np.ones(3)),
+                                    PolytopeDomain(np.ones((1, 3)), [2.0], np.ones(3))],
+                         ids=["box", "rowless", "rows"])
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.0, 0.5, 1.0], [-0.0, 0.25, 0.0]])
+def test_feasibility_residual_of_a_feasible_point_is_positive_zero(domain, x):
+    # a zero coordinate gives -0.0 in -x; the trace CSVs print it as "-0"
+    res = feasibility_residual(domain, x)
+    assert res == 0.0 and math.copysign(1.0, res) == 1.0
 
 
 def test_feasibility_residual_rejects_a_point_of_the_wrong_length():
@@ -287,6 +299,17 @@ def test_project_far_points_on_small_polytopes():
         _assert_nearest(P, y, x, 1e-8)
         if P.num_rows == 0:   # a box: the projection is the clip
             assert np.allclose(x, np.clip(y, 0.0, P.upper), rtol=0.0, atol=1e-9)
+
+
+def test_project_onto_a_polytope_without_rows_is_the_clip_bit_for_bit():
+    rng = np.random.default_rng(21)
+    P = PolytopeDomain(np.zeros((0, 5)), [], rng.uniform(0.3, 1.5, size=5))
+    box = P.box()
+    for _ in range(50):
+        y = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 3.0)
+        x = project_polytope(P, y)
+        assert x.tobytes() == np.clip(y, 0.0, P.upper).tobytes()
+        assert x.tobytes() == project_box(box, y).tobytes()
 
 
 # -------------------------------------------------------------- hit-and-run

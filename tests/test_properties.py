@@ -13,8 +13,7 @@ UNIT_BOX = BoxDomain([0.0, 0.0], [1.0, 1.0])
 
 
 def _handle(value, grad=None, dim=2, **flags):
-    return scalar_handle(dim, value, gradient=grad,
-                         differentiable=grad is not None, **flags)
+    return scalar_handle(dim, value, gradient=grad, **flags)
 
 
 BILINEAR = _handle(lambda x: float(x[0] * x[1]), lambda x: np.array([x[1], x[0]]))

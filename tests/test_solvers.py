@@ -46,7 +46,7 @@ def test_fw_gamma_one_is_a_single_oracle_step():
 def test_fw_requires_flags():
     inst, P = gen_monotone_nqp(2, 1, seed=0)
     plain = ObjectiveHandle(2, inst.value, inst.value_batch, gradient=inst.gradient,
-                            differentiable=True, submodular=True)
+                            submodular=True)
     with pytest.raises(ValueError):
         frank_wolfe_variant(plain, P, FWConfig(K=5))
 
@@ -196,7 +196,7 @@ def test_fw_aborts_with_partial_trace_on_gradient_failure():
         return np.ones(2)
 
     h = scalar_handle(2, value, gradient=grad, monotone=True, submodular=True,
-                      dr_submodular=True, differentiable=True)
+                      dr_submodular=True)
     with pytest.raises(SolverAbort) as exc:
         frank_wolfe_variant(h, _box_polytope(2), FWConfig(K=4))
     assert len(exc.value.trace) >= 1
@@ -204,7 +204,7 @@ def test_fw_aborts_with_partial_trace_on_gradient_failure():
 
 def test_fw_abort_names_the_method_the_handle_and_the_iteration():
     h = scalar_handle(2, lambda x: float(x.sum()), gradient=lambda x: 1.0, monotone=True,
-                      submodular=True, dr_submodular=True, differentiable=True, name="flat")
+                      submodular=True, dr_submodular=True, name="flat")
     with pytest.raises(SolverAbort, match="frank_wolfe: gradient of 'flat' failed at "
                                           "iteration 0: dimension mismatch: expected 2, got 1"):
         frank_wolfe_variant(h, _box_polytope(2), FWConfig(K=4))
