@@ -9,8 +9,7 @@ import numpy as np
 
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain, SolverTrace,
                    as_point, check_positive_int, eval_batch)
-from .geometry import (feasibility_residual, hit_and_run, project_box,
-                       project_polytope, ratio_shrink)
+from .geometry import feasibility_residual, hit_and_run, project_polytope, ratio_shrink
 from .solvers import CONCAVE_MODE, maximize_1d
 
 
@@ -36,16 +35,10 @@ def random_cube_baseline(f: ObjectiveHandle, P: PolytopeDomain, k_s: int,
 
 
 def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
-                     iters: int) -> tuple[Array, float, SolverTrace]:
-    """Projected gradient ascent from the origin with a fixed step size."""
+                     iters: int) -> tuple[Array, SolverTrace]:
+    """Projected gradient ascent from the origin with a fixed step, on a polytope or a box."""
     if not f.differentiable:
         raise ValueError("projected gradient ascent needs a gradient")
-    if isinstance(domain, BoxDomain):
-        project = lambda z: project_box(domain, z)
-    elif isinstance(domain, PolytopeDomain):
-        project = lambda z: project_polytope(domain, z)
-    else:
-        raise TypeError("domain must be a BoxDomain or PolytopeDomain")
     x = np.zeros(f.dimension)
     trace = SolverTrace(meta={"algorithm": "proj_grad", "step": step})
     trace.append(0, 0.0, f.value(x), feasibility_residual(domain, x))
@@ -55,9 +48,9 @@ def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
         except ValueError as e:
             raise ValueError(f"proj_grad: gradient of {f.name!r} failed at "
                              f"iteration {k}: {e}") from e
-        x = project(x + step * grad)
+        x = project_polytope(domain, x + step * grad)
         trace.append(k, k / iters, f.value(x), feasibility_residual(domain, x))
-    return x, trace.final_objective, trace
+    return x, trace
 
 
 def single_greedy(f: ObjectiveHandle, box: BoxDomain,

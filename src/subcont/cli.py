@@ -37,7 +37,7 @@ def _base_seed(explicit: int | None) -> int:
 
 
 def _function_or_path(name: str, n: int, seed: int):
-    if Path(name).exists():
+    if Path(name).is_file():
         inst = load_bipartite_tsv(name)
         handle = inst.handle()
         if isinstance(inst, RevenueInstance):

@@ -66,6 +66,8 @@ class BoxDomain:
     def dimension(self) -> int:
         return self.lower.shape[0]
 
+    num_rows = 0   # a box is a polytope without rows
+
     def sample(self, rng: np.random.Generator, size: int | None = None) -> Array:
         """Uniform draws from the box; shape (n,) or (size, n)."""
         shape = self.dimension if size is None else (size, self.dimension)
@@ -109,8 +111,12 @@ class PolytopeDomain:
     def num_rows(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def lower(self) -> Array:   # the origin, read like a box's lower corner
+        return np.zeros(self.dimension)
+
     def box(self) -> BoxDomain:
-        return BoxDomain(np.zeros(self.dimension), self.upper.copy())
+        return BoxDomain(self.lower, self.upper.copy())
 
 
 @dataclass

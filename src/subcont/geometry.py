@@ -1,5 +1,6 @@
 """Feasibility residuals, an LP vertex oracle, Euclidean projection, and samplers
-for down-closed polytopes ``{x : 0 <= x <= upper, A x <= b}``.
+for down-closed polytopes ``{x : 0 <= x <= upper, A x <= b}``.  The residual
+and the projection also take a ``BoxDomain``, read as a polytope without rows.
 
 Everything runs on plain numpy.  The LP oracle is a bounded-variable primal
 simplex whose tableau holds only the m rows of ``A x + s = b``; the box bounds
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, BoxDomain, PolytopeDomain, as_point, as_stack, check_positive_int
+from .core import Array, PolytopeDomain, as_point, as_stack, check_positive_int
 
 _EPS_COST = 1e-9     # reduced-cost threshold for entering variables
 _EPS_PIVOT = 1e-11   # smallest usable pivot element
@@ -43,10 +44,8 @@ class LPSolution:
 def feasibility_residual(domain, x) -> float:
     """Largest constraint violation of x; +0.0 when feasible."""
     x = as_point(x, domain.dimension)
-    box = isinstance(domain, BoxDomain)
-    res = max(((domain.lower if box else 0.0) - x).max(initial=0.0),
-              (x - domain.upper).max(initial=0.0))
-    if not box and domain.num_rows:
+    res = max((domain.lower - x).max(initial=0.0), (x - domain.upper).max(initial=0.0))
+    if domain.num_rows:
         res = max(res, (domain.A @ x - domain.b).max(initial=0.0))
     return float(max(0.0, res))   # 0.0 first, so a -0.0 entry is not returned
 
@@ -153,10 +152,6 @@ def still_optimal(sol: LPSolution, c) -> bool:
     return bool(reduced.max(initial=-np.inf) <= _EPS_COST)
 
 
-def project_box(box: BoxDomain, x) -> Array:
-    return np.clip(as_point(x, box.dimension), box.lower, box.upper)
-
-
 def _nnls(M: Array, d: Array) -> Array:
     """``argmin ||M u - d||`` over ``u >= 0`` by Lawson and Hanson's active set:
     least squares on the free columns, stepping back to ``u >= 0`` and fixing
@@ -193,12 +188,12 @@ def project_polytope(P: PolytopeDomain, x) -> Array:
     ``min ||M u - e_{n+1}||``, ``u >= 0``, ``M = [-G^T; (G x - h)^T / s]``.
     The scale s bounds the distance to P, so ``|r[n]|`` stays near 1 and far
     points lose no digits.  Finite and deterministic; the result is clipped
-    into the box against round-off.  Without rows P is a box, and the clip
-    alone is the projection.
+    into the box against round-off.  P may also be a ``BoxDomain``: without
+    rows, the clip into ``[lower, upper]`` alone is the projection.
     """
     x = as_point(x, P.dimension)
     if not P.num_rows:
-        return np.clip(x, 0.0, P.upper)
+        return np.clip(x, P.lower, P.upper)
     n = P.dimension
     s = max(1.0, float(np.linalg.norm(x - ratio_shrink(P, np.clip(x, 0.0, P.upper)))))
     M = np.vstack([np.hstack([-P.A.T, np.eye(n), -np.eye(n)]),

@@ -18,6 +18,7 @@ CSV header is exactly ``iteration,t,objective,feasibility_residual``.
 """
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import json
@@ -32,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import proj_grad_ascent, random_best_of, random_cube_baseline, single_greedy
-from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
-                   SolverTrace, check_positive_int, eval_batch)
+from .core import (Array, ObjectiveHandle, PolytopeDomain, SolverTrace,
+                   check_positive_int, eval_batch)
 from .geometry import feasibility_residual
 from .solvers import (DGConfig, FWConfig, QUADRATIC_MODE, REVENUE_MODE, double_greedy,
                       frank_wolfe_variant)
@@ -209,9 +210,10 @@ def load_bipartite_tsv(path, u_scale: float = 1.0):
 
 def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
                      chunk: int = 2 ** 14) -> tuple[Array, float]:
-    """Exhaustive scan of a uniform grid over the domain's box, restricted to
-    feasible points for polytopes.  The returned value never exceeds the true
-    maximum, so it is safe on the lower side of approximation-bound checks.
+    """Exhaustive scan of a uniform grid over ``[domain.lower, domain.upper]``,
+    restricted to the points that satisfy the domain's rows; a box has none.
+    The returned value never exceeds the true maximum, so it is safe on the
+    lower side of approximation-bound checks.
 
     Points are visited in row-major order (the last coordinate varies
     fastest), and the earliest maximiser in that order wins ties.  ``chunk``
@@ -225,19 +227,11 @@ def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
     rows are all feasible is evaluated in place, one with no feasible row is
     skipped, and a mixed block is compressed to its feasible rows.
     """
-    if isinstance(domain, BoxDomain):
-        lo, hi = domain.lower, domain.upper
-        P = None
-    elif isinstance(domain, PolytopeDomain):
-        lo, hi = np.zeros(domain.dimension), domain.upper
-        P = domain
-    else:
-        raise TypeError("domain must be a BoxDomain or PolytopeDomain")
-    n = lo.shape[0]
+    n = domain.dimension
     check_positive_int("points_per_dim", points_per_dim)
     check_positive_int("chunk", chunk)
     _check_grid_size(n, points_per_dim, "points_per_dim")
-    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(n)]
+    axes = [np.linspace(a, b, points_per_dim) for a, b in zip(domain.lower, domain.upper)]
     lead = 1
     while points_per_dim ** (n - lead) > chunk:
         lead += 1
@@ -258,8 +252,8 @@ def grid_brute_force(f: ObjectiveHandle, domain, points_per_dim: int,
             k = run_values.shape[0]
             block[:k, ..., lead - 1] = run_values.reshape((k,) + (1,) * (n - lead))
             X = rows[:k * t]
-            if P is not None and P.num_rows:
-                mask = np.all(X @ P.A.T <= P.b + 1e-12, axis=1)
+            if domain.num_rows:
+                mask = np.all(X @ domain.A.T <= domain.b + 1e-12, axis=1)
                 if not mask.all():
                     if not mask.any():
                         continue
@@ -289,15 +283,23 @@ def _nonmonotone_nqp(cfg: ExperimentConfig, seed: int, sweep: float):
     return inst, inst.handle(box), PolytopeDomain([], [], box.upper)
 
 
+# The data file's instances by u_scale, read in the current run_experiment call
+_RUN_DATA: contextvars.ContextVar[dict] = contextvars.ContextVar("_RUN_DATA")
+
+
 def _load_data(cfg: ExperimentConfig, u_scale: float = 1.0):
-    """The instance in ``cfg.data_path``, which must be of the experiment's kind."""
-    inst = load_bipartite_tsv(cfg.data_path, u_scale=u_scale)
-    kind = "influence" if isinstance(inst, BipartiteInfluenceInstance) else "revenue"
-    want = _EXPERIMENTS[cfg.experiment].data
-    if kind != want:
-        raise ValueError(f"{cfg.data_path}: {cfg.experiment} needs a '# kind={want}' "
-                         f"edge list, got '# kind={kind}'")
-    return inst
+    """The instance in ``cfg.data_path``, which must be of the experiment's kind;
+    parsed once per u_scale in each ``run_experiment`` call."""
+    loaded = _RUN_DATA.get({})
+    if u_scale not in loaded:
+        inst = load_bipartite_tsv(cfg.data_path, u_scale=u_scale)
+        kind = "influence" if isinstance(inst, BipartiteInfluenceInstance) else "revenue"
+        want = _EXPERIMENTS[cfg.experiment].data
+        if kind != want:
+            raise ValueError(f"{cfg.data_path}: {cfg.experiment} needs a '# kind={want}' "
+                             f"edge list, got '# kind={kind}'")
+        loaded[u_scale] = inst
+    return loaded[u_scale]
 
 
 def _budget_allocation(cfg: ExperimentConfig, seed: int, sweep: float):
@@ -350,10 +352,9 @@ _METHODS = {
         ctx["handle"], ctx["polytope"], cfg.k_s, _subseed(seed, 11))),
     "random_cube": _Method("polytope", lambda ctx, cfg, seed, step: random_cube_baseline(
         ctx["handle"], ctx["polytope"], cfg.k_s, _subseed(seed, 13))),
-    # proj_grad_ascent returns (x, value, trace) and double_greedy (x, trace_x,
-    # trace_y)
+    # double_greedy returns (x, trace_x, trace_y)
     "proj_grad": _Method("polytope", lambda ctx, cfg, seed, step: proj_grad_ascent(
-        ctx["handle"], ctx["polytope"], step, cfg.K)[::2]),
+        ctx["handle"], ctx["polytope"], step, cfg.K)),
     "double_greedy": _Method("box", lambda ctx, cfg, seed, step: double_greedy(
         ctx["handle"], ctx["box"], DGConfig(seed=_subseed(seed, 5), mode=ctx["mode"]))[:2]),
     "single_greedy": _Method("box", lambda ctx, cfg, seed, step: single_greedy(
@@ -463,17 +464,22 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     still legible; on failure it is rewritten with the error and partial
     outputs are kept.
     """
-    cfg.validate()
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", _manifest(cfg, "running"))
+    token = _RUN_DATA.set({})
     try:
-        records = _run_sweep(cfg, out)
-    except Exception as e:
-        _write_json(out / "manifest.json", _manifest(cfg, "failed", f"{type(e).__name__}: {e}"))
-        raise
-    _write_json(out / "manifest.json", _manifest(cfg, "completed"))
-    return records
+        cfg.validate()
+        out = Path(cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "manifest.json", _manifest(cfg, "running"))
+        try:
+            records = _run_sweep(cfg, out)
+        except Exception as e:
+            _write_json(out / "manifest.json",
+                        _manifest(cfg, "failed", f"{type(e).__name__}: {e}"))
+            raise
+        _write_json(out / "manifest.json", _manifest(cfg, "completed"))
+        return records
+    finally:
+        _RUN_DATA.reset(token)
 
 
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
@@ -482,11 +488,8 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
     runs = _method_runs(cfg)
     methods = _expand_methods(cfg)
     records: list[ResultRecord] = []
-    summary: dict = {"experiment": cfg.experiment, "sweep": list(cfg.sweep),
-                     "seeds": list(cfg.seeds), "methods": {m: {} for m in methods}}
     oracle: dict = {}
     for sweep in cfg.sweep:
-        finals: dict[str, list[float]] = {m: [] for m in methods}
         for seed in cfg.seeds:
             ctx = _build_instance(cfg, seed, sweep)
             if cfg.grid_oracle:
@@ -502,17 +505,19 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:
                     raise RuntimeError(f"{method} returned an infeasible point")
                 tpath = traces_dir / f"{method}__sweep{sweep:g}__seed{seed}.csv"
                 write_trace_csv(tpath, trace)
-                final = trace.final_objective
-                finals[method].append(final)
                 records.append(ResultRecord(method=method, instance_seed=seed,
-                                            sweep_value=sweep, final_value=final,
+                                            sweep_value=sweep,
+                                            final_value=trace.final_objective,
                                             trace_path=str(tpath),
                                             wall_time=elapsed, cpu_time=cpu))
-        for method in methods:
-            vals = np.array(finals[method])
-            summary["methods"][method][f"{sweep:g}"] = {
-                "mean": float(vals.mean()), "std": float(vals.std()),
-                "final_values": [float(v) for v in vals]}
+    summary: dict = {"experiment": cfg.experiment, "sweep": list(cfg.sweep),
+                     "seeds": list(cfg.seeds), "methods": {m: {} for m in methods}}
+    for method, sweep in itertools.product(methods, cfg.sweep):
+        vals = np.array([r.final_value for r in records
+                         if r.method == method and r.sweep_value == sweep])
+        summary["methods"][method][f"{sweep:g}"] = {
+            "mean": float(vals.mean()), "std": float(vals.std()),
+            "final_values": [float(v) for v in vals]}
     if cfg.grid_oracle:
         summary["oracle"] = oracle
     _write_json(out / "summary.json", summary)

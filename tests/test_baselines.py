@@ -90,7 +90,7 @@ def test_random_cube_best_is_pinned(box, digest):
 
 def test_proj_grad_zero_step_stays_home():
     h = _sum_handle()
-    x, v, trace = proj_grad_ascent(h, SIMPLEX, 0.0, 5)
+    x, trace = proj_grad_ascent(h, SIMPLEX, 0.0, 5)
     assert np.array_equal(x, np.zeros(2))
 
 
@@ -98,13 +98,33 @@ def test_proj_grad_concave_separable_on_box():
     # maximizer of -(x1-.5)^2 - (x2-.5)^2 is the interior point (.5, .5)
     inst = QuadraticInstance(-2 * np.eye(2), [1.0, 1.0], -0.5)
     box = BoxDomain([0, 0], [1, 1])
-    x, v, trace = proj_grad_ascent(inst.handle(box), box, 0.1, 200)
+    x, trace = proj_grad_ascent(inst.handle(box), box, 0.1, 200)
     assert np.max(np.abs(x - 0.5)) <= 1e-3
+
+
+def test_proj_grad_on_a_box_off_the_origin_clips_into_its_corners():
+    # the start, the origin, lies outside; every later iterate lies in the box
+    box = BoxDomain([0.5, 0.2], [1.0, 1.5])
+    inst = QuadraticInstance(np.array([[-2.0, -1.0], [-1.0, -3.0]]), [1.0, 2.5])
+    f = inst.handle(box)
+    seen = []
+
+    def value(x):
+        seen.append(x.copy())
+        return f.value(x)
+    g = scalar_handle(2, value, gradient=f.gradient)
+    x, trace = proj_grad_ascent(g, box, 0.1, 6)
+    assert all(np.all(box.lower <= z) and np.all(z <= box.upper) for z in seen[1:])
+    assert x.tolist() == [0.5, 0.5966375]
+    assert [r.objective for r in trace.records] == [
+        0.0, 0.65625, 0.7890625, 0.854140625, 0.8860289062500001, 0.9016541640625,
+        0.909310540390625]
+    assert [r.feasibility_residual for r in trace.records] == [0.5] + [0.0] * 6
 
 
 def test_proj_grad_iterates_feasible_on_polytope():
     inst, P = gen_monotone_nqp(3, 2, seed=1)
-    x, v, trace = proj_grad_ascent(inst.handle(P.box()), P, 1e-3, 20)
+    x, trace = proj_grad_ascent(inst.handle(P.box()), P, 1e-3, 20)
     assert all(r.feasibility_residual <= 1e-8 for r in trace.records)
 
 
@@ -116,9 +136,9 @@ def test_proj_grad_evaluates_f_once_per_iterate():
         calls.append(1)
         return float(np.sum(x))
     f = scalar_handle(2, value, gradient=lambda x: np.ones(2))
-    x, v, trace = proj_grad_ascent(f, SIMPLEX, 0.1, 7)
+    x, trace = proj_grad_ascent(f, SIMPLEX, 0.1, 7)
     assert len(calls) == 7 + 1
-    assert v == trace.final_objective == float(np.sum(x))
+    assert trace.final_objective == float(np.sum(x))
 
 
 def test_single_greedy_modular():

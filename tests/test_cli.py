@@ -145,3 +145,16 @@ def test_cli_run_rejects_a_malformed_list(tmp_path, capsys, flag, value):
     assert code == 1
     assert "error: could not convert string to float" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--function", "facility", "--property", "submodular", "--trials", "50"],
+    ["oracle", "--function", "facility", "--n", "2", "--grid", "5"],
+])
+def test_cli_reads_a_family_name_past_a_directory_of_that_name(tmp_path, monkeypatch,
+                                                               capsys, args):
+    # only a file is read as an edge list; a directory named like the family is not
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "facility").mkdir()
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["function"] == "facility"

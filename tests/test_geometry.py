@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from subcont import (BoxDomain, LPSolution, PolytopeDomain, feasibility_residual,
                      gen_monotone_nqp, hit_and_run, linear_maximize,
-                     project_box, project_polytope, ratio_shrink, still_optimal)
+                     project_polytope, ratio_shrink, still_optimal)
 
 from lp_reference import (active_constraints, constraint_normals, enumerate_vertices,
                           nonbasic_constraints)
@@ -51,6 +51,17 @@ def test_feasibility_residual_of_a_feasible_point_is_positive_zero(domain, x):
     # a zero coordinate gives -0.0 in -x; the trace CSVs print it as "-0"
     res = feasibility_residual(domain, x)
     assert res == 0.0 and math.copysign(1.0, res) == 1.0
+
+
+def test_feasibility_residual_reads_a_box_as_a_polytope_without_rows():
+    # same bits on [0, u] whichever type holds it, in and out of the box
+    rng = np.random.default_rng(5)
+    upper = rng.uniform(0.3, 1.5, size=4)
+    box, P = BoxDomain(np.zeros(4), upper), PolytopeDomain([], [], upper)
+    for _ in range(50):
+        x = rng.normal(size=4)
+        assert np.float64(feasibility_residual(box, x)).tobytes() == \
+            np.float64(feasibility_residual(P, x)).tobytes()
 
 
 def test_feasibility_residual_rejects_a_point_of_the_wrong_length():
@@ -304,12 +315,21 @@ def test_project_far_points_on_small_polytopes():
 def test_project_onto_a_polytope_without_rows_is_the_clip_bit_for_bit():
     rng = np.random.default_rng(21)
     P = PolytopeDomain(np.zeros((0, 5)), [], rng.uniform(0.3, 1.5, size=5))
-    box = P.box()
     for _ in range(50):
         y = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 3.0)
         x = project_polytope(P, y)
         assert x.tobytes() == np.clip(y, 0.0, P.upper).tobytes()
-        assert x.tobytes() == project_box(box, y).tobytes()
+
+
+def test_project_onto_a_box_is_the_clip_into_its_corners_bit_for_bit():
+    # a box is a polytope without rows whose lower corner need not be 0
+    rng = np.random.default_rng(22)
+    lower = rng.uniform(-1.0, 0.5, size=5)
+    box = BoxDomain(lower, lower + rng.uniform(0.3, 1.5, size=5))
+    for _ in range(50):
+        y = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert project_polytope(box, y).tobytes() == \
+            np.clip(y, box.lower, box.upper).tobytes()
 
 
 # -------------------------------------------------------------- hit-and-run

@@ -235,6 +235,20 @@ def test_grid_constant_objective_returns_lower_corner():
         assert np.array_equal(x, box.lower) and v == 2.0
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_grid_reads_a_box_as_a_polytope_without_rows(n):
+    # the same point and value, bit for bit, whichever type holds [0, u]
+    rng = np.random.default_rng(40 + n)
+    M = rng.uniform(-1, 1, size=(n, n))
+    f = QuadraticInstance((M + M.T) / 2, rng.uniform(-1, 1, n)).handle()
+    upper = rng.uniform(0.5, 2.0, n)
+    for chunk in (1, 7, 2 ** 14):
+        x_box, v_box = grid_brute_force(f, BoxDomain(np.zeros(n), upper), 9, chunk=chunk)
+        x_P, v_P = grid_brute_force(f, PolytopeDomain([], [], upper), 9, chunk=chunk)
+        assert x_box.tobytes() == x_P.tobytes()
+        assert np.float64(v_box).tobytes() == np.float64(v_P).tobytes()
+
+
 def test_grid_rejects_nonpositive_chunk():
     f = QuadraticInstance(np.zeros((2, 2)), np.zeros(2)).handle()
     for chunk in (0, -3):
@@ -571,8 +585,8 @@ def test_proj_grad_runs_the_configured_step_unrounded(tmp_path):
     (record,) = run_experiment(cfg)
     assert record.method == "proj_grad_step0.00123457"
     inst, box = gen_nonmonotone_nqp(3, 0, u_scale=1.0)
-    _, value, _ = proj_grad_ascent(inst.handle(box), box, step, cfg.K)
-    assert record.final_value == value
+    _, trace = proj_grad_ascent(inst.handle(box), box, step, cfg.K)
+    assert record.final_value == trace.final_objective
 
 
 def test_proj_grad_runs_at_paper_scale(tmp_path):
@@ -643,6 +657,31 @@ def test_data_path_experiment(tmp_path):
                            methods=["frank_wolfe"], output_dir=str(tmp_path / "fd"))
     records = run_experiment(cfg)
     assert records[0].final_value > 0
+
+
+@pytest.mark.parametrize("experiment, kind, methods, reads", [
+    ("budget_allocation", "influence", ["frank_wolfe"], 1),
+    # u_scale changes the balancing: one read per sweep value
+    ("revenue", "revenue", ["single_greedy"], 2),
+])
+def test_run_reads_the_data_file_once_per_u_scale(tmp_path, monkeypatch, experiment,
+                                                   kind, methods, reads):
+    path = _write(tmp_path, f"# kind={kind}\ns\tt\t0.5\ns\tu\t0.25\nv\tt\t0.75\n")
+    read = []
+
+    def counted(path, u_scale=1.0):
+        read.append(u_scale)
+        return load_bipartite_tsv(path, u_scale)
+    monkeypatch.setattr(subcont.harness, "load_bipartite_tsv", counted)
+    cfg = _tiny_cfg(tmp_path, experiment=experiment, methods=methods, data_path=str(path),
+                    seeds=[0, 1, 2], sweep=[1.0, 2.0])
+    first = run_experiment(cfg)
+    assert len(read) == reads
+    # a second run reads the file again and sees what it now holds
+    path.write_text(f"# kind={kind}\ns\tt\t0.5\ns\tu\t0.25\nv\tt\t0.75\nw\tu\t0.5\n")
+    second = run_experiment(cfg)
+    assert len(read) == 2 * reads
+    assert [r.final_value for r in first] != [r.final_value for r in second]
 
 
 @pytest.mark.parametrize("experiment, methods, kind, grid, message", [
