@@ -60,6 +60,8 @@ def single_greedy(f: ObjectiveHandle, box: BoxDomain,
     sweeps.  Each search evaluates its opening probes with one
     ``value_batch`` call (see ``maximize_1d``), so the values it compares may
     differ in the last bits from ``f.value`` at the same points."""
+    if box.num_rows:
+        raise ValueError("single_greedy needs a box, got a domain with rows")
     x = box.lower.copy()
     fx = f.value(x)
     for j in range(box.dimension):

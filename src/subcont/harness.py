@@ -18,7 +18,6 @@ CSV header is exactly ``iteration,t,objective,feasibility_residual``.
 """
 from __future__ import annotations
 
-import contextvars
 import functools
 import itertools
 import json
@@ -283,23 +282,15 @@ def _nonmonotone_nqp(cfg: ExperimentConfig, seed: int, sweep: float):
     return inst, inst.handle(box), PolytopeDomain([], [], box.upper)
 
 
-# The data file's instances by u_scale, read in the current run_experiment call
-_RUN_DATA: contextvars.ContextVar[dict] = contextvars.ContextVar("_RUN_DATA")
-
-
 def _load_data(cfg: ExperimentConfig, u_scale: float = 1.0):
-    """The instance in ``cfg.data_path``, which must be of the experiment's kind;
-    parsed once per u_scale in each ``run_experiment`` call."""
-    loaded = _RUN_DATA.get({})
-    if u_scale not in loaded:
-        inst = load_bipartite_tsv(cfg.data_path, u_scale=u_scale)
-        kind = "influence" if isinstance(inst, BipartiteInfluenceInstance) else "revenue"
-        want = _EXPERIMENTS[cfg.experiment].data
-        if kind != want:
-            raise ValueError(f"{cfg.data_path}: {cfg.experiment} needs a '# kind={want}' "
-                             f"edge list, got '# kind={kind}'")
-        loaded[u_scale] = inst
-    return loaded[u_scale]
+    """The instance in ``cfg.data_path``, which must be of the experiment's kind."""
+    inst = load_bipartite_tsv(cfg.data_path, u_scale=u_scale)
+    kind = "influence" if isinstance(inst, BipartiteInfluenceInstance) else "revenue"
+    want = _EXPERIMENTS[cfg.experiment].data
+    if kind != want:
+        raise ValueError(f"{cfg.data_path}: {cfg.experiment} needs a '# kind={want}' "
+                         f"edge list, got '# kind={kind}'")
+    return inst
 
 
 def _budget_allocation(cfg: ExperimentConfig, seed: int, sweep: float):
@@ -464,22 +455,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
     still legible; on failure it is rewritten with the error and partial
     outputs are kept.
     """
-    token = _RUN_DATA.set({})
+    cfg.validate()
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "manifest.json", _manifest(cfg, "running"))
     try:
-        cfg.validate()
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "manifest.json", _manifest(cfg, "running"))
-        try:
-            records = _run_sweep(cfg, out)
-        except Exception as e:
-            _write_json(out / "manifest.json",
-                        _manifest(cfg, "failed", f"{type(e).__name__}: {e}"))
-            raise
-        _write_json(out / "manifest.json", _manifest(cfg, "completed"))
-        return records
-    finally:
-        _RUN_DATA.reset(token)
+        records = _run_sweep(cfg, out)
+    except Exception as e:
+        _write_json(out / "manifest.json", _manifest(cfg, "failed", f"{type(e).__name__}: {e}"))
+        raise
+    _write_json(out / "manifest.json", _manifest(cfg, "completed"))
+    return records
 
 
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[ResultRecord]:

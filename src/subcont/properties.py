@@ -199,6 +199,8 @@ def check_hessian_offdiag(f: ObjectiveHandle, x, h: float = 1e-4,
     """
     x = as_point(x, f.dimension)
     if domain is not None:
+        if domain.num_rows:
+            raise ValueError("check_hessian_offdiag needs a box, got a domain with rows")
         if np.any(x - h < domain.lower) or np.any(x + h > domain.upper):
             raise ValueError("point too close to the boundary for the stencil")
     H = hessian_estimate(f, x, h)

@@ -376,6 +376,8 @@ def double_greedy(f: ObjectiveHandle, box: BoxDomain,
         raise ValueError("requires an objective with the submodular flag")
     if f.dimension != box.dimension:
         raise ValueError("objective and box dimensions differ")
+    if box.num_rows:
+        raise ValueError("double_greedy needs a box, got a domain with rows")
     n = box.dimension
     x = box.lower.copy()
     y = box.upper.copy()

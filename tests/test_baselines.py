@@ -3,10 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from subcont import (BoxDomain, PolytopeDomain, QuadraticInstance,
-                     feasibility_residual, gen_monotone_nqp, gen_nonmonotone_nqp, hit_and_run,
-                     proj_grad_ascent, random_best_of, random_cube_baseline,
-                     single_greedy)
+from subcont import (BoxDomain, DGConfig, PolytopeDomain, QuadraticInstance,
+                     check_hessian_offdiag, double_greedy, feasibility_residual,
+                     gen_monotone_nqp, gen_nonmonotone_nqp, hit_and_run, proj_grad_ascent,
+                     random_best_of, random_cube_baseline, single_greedy)
 from subcont.core import eval_batch
 from subcont.solvers import QUADRATIC_MODE
 
@@ -171,6 +171,17 @@ def test_baselines_feasible_on_random_instances():
                      random_cube_baseline(h, P, 20, seed),
                      single_greedy(h, box, mode=QUADRATIC_MODE)):
             assert feasibility_residual(P, x) <= 1e-9
+
+
+@pytest.mark.parametrize("name, run", [
+    ("single_greedy", lambda h, P: single_greedy(h, P)),
+    ("double_greedy", lambda h, P: double_greedy(h, P, DGConfig())),
+    ("check_hessian_offdiag", lambda h, P: check_hessian_offdiag(h, [0.3, 0.3], domain=P)),
+])
+def test_box_only_functions_reject_a_domain_with_rows(name, run):
+    # a polytope reads as a box with rows; ignoring them would leave SIMPLEX
+    with pytest.raises(ValueError, match=f"{name} needs a box, got a domain with rows"):
+        run(_sum_handle(), SIMPLEX)
 
 
 def test_proj_grad_rejects_a_scalar_gradient():

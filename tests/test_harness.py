@@ -659,31 +659,6 @@ def test_data_path_experiment(tmp_path):
     assert records[0].final_value > 0
 
 
-@pytest.mark.parametrize("experiment, kind, methods, reads", [
-    ("budget_allocation", "influence", ["frank_wolfe"], 1),
-    # u_scale changes the balancing: one read per sweep value
-    ("revenue", "revenue", ["single_greedy"], 2),
-])
-def test_run_reads_the_data_file_once_per_u_scale(tmp_path, monkeypatch, experiment,
-                                                   kind, methods, reads):
-    path = _write(tmp_path, f"# kind={kind}\ns\tt\t0.5\ns\tu\t0.25\nv\tt\t0.75\n")
-    read = []
-
-    def counted(path, u_scale=1.0):
-        read.append(u_scale)
-        return load_bipartite_tsv(path, u_scale)
-    monkeypatch.setattr(subcont.harness, "load_bipartite_tsv", counted)
-    cfg = _tiny_cfg(tmp_path, experiment=experiment, methods=methods, data_path=str(path),
-                    seeds=[0, 1, 2], sweep=[1.0, 2.0])
-    first = run_experiment(cfg)
-    assert len(read) == reads
-    # a second run reads the file again and sees what it now holds
-    path.write_text(f"# kind={kind}\ns\tt\t0.5\ns\tu\t0.25\nv\tt\t0.75\nw\tu\t0.5\n")
-    second = run_experiment(cfg)
-    assert len(read) == 2 * reads
-    assert [r.final_value for r in first] != [r.final_value for r in second]
-
-
 @pytest.mark.parametrize("experiment, methods, kind, grid, message", [
     # the guard applies to the file's 8 channels, not to cfg.n = 3
     ("budget_allocation", ["frank_wolfe"], "influence", True,
