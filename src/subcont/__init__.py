@@ -8,7 +8,7 @@ from .baselines import proj_grad_ascent, random_best_of, random_cube_baseline, s
 from .core import (BoxDomain, ObjectiveHandle, PolytopeDomain, SolverTrace,
                    TraceRecord, as_point, eval_batch, finite_diff_gradient)
 from .geometry import (LPSolution, feasibility_residual, hit_and_run, linear_maximize,
-                       project_polytope, ratio_shrink, still_optimal)
+                       project_polytope, ratio_shrink, reoptimize)
 from .harness import (ExperimentConfig, ResultRecord, grid_brute_force,
                       load_bipartite_tsv, read_trace_csv, run_experiment,
                       write_trace_csv)

@@ -36,10 +36,15 @@ def random_cube_baseline(f: ObjectiveHandle, P: PolytopeDomain, k_s: int,
 
 def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
                      iters: int) -> tuple[Array, SolverTrace]:
-    """Projected gradient ascent from the origin with a fixed step, on a polytope or a box."""
+    """Projected gradient ascent from the origin with a fixed step, on a polytope or a box.
+
+    Each projection starts its NNLS from the previous one's passive set (see
+    ``project_polytope``); consecutive points share almost all of it.
+    """
     if not f.differentiable:
         raise ValueError("projected gradient ascent needs a gradient")
     x = np.zeros(f.dimension)
+    passive = np.zeros(domain.num_rows + 2 * f.dimension, dtype=bool)
     trace = SolverTrace(meta={"algorithm": "proj_grad", "step": step})
     trace.append(0, 0.0, f.value(x), feasibility_residual(domain, x))
     for k in range(1, iters + 1):
@@ -48,7 +53,7 @@ def proj_grad_ascent(f: ObjectiveHandle, domain, step: float,
         except ValueError as e:
             raise ValueError(f"proj_grad: gradient of {f.name!r} failed at "
                              f"iteration {k}: {e}") from e
-        x = project_polytope(domain, x + step * grad)
+        x = project_polytope(domain, x + step * grad, passive)
         trace.append(k, k / iters, f.value(x), feasibility_residual(domain, x))
     return x, trace
 

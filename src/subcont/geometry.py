@@ -6,10 +6,12 @@ Everything runs on plain numpy.  The LP oracle is a bounded-variable primal
 simplex whose tableau holds only the m rows of ``A x + s = b``; the box bounds
 are handled as bound flips in the ratio test.  It is deterministic and
 dependency-free.  Each solution keeps its final simplex basis, so that
-``still_optimal`` can tell from the reduced costs alone whether the same
-vertex is optimal for another cost vector, without a new solve.  The
-projection is one least-distance program, solved as a single NNLS.  The
-hit-and-run sampler takes both ends of each chord from one reduction over
+``reoptimize`` can resume from it for another cost vector: it prices the
+basis with the new reduced costs, returns the same solution when they
+prove it optimal, and pivots on from that basis otherwise.  The projection
+is one least-distance program, solved as a single NNLS, which can start
+from the passive set of a nearby point's projection.  The hit-and-run
+sampler takes both ends of each chord from one reduction over
 the ``2n + m`` constraints, each taken once per side.
 """
 from __future__ import annotations
@@ -29,10 +31,11 @@ _EPS_STEP = 1e-10    # a simplex step this short counts as degenerate
 class LPSolution:
     """A vertex, its objective, and the simplex basis that certifies it.
 
-    ``basis`` is the final simplex basis of ``linear_maximize``: the tableau
-    columns ``B^-1 [A I]`` in complemented variables, the basic column
-    indices, and the mask of complemented (at-upper-bound) columns.  A
-    solution built elsewhere has None and carries no certificate.
+    ``basis`` is the final simplex basis of ``linear_maximize`` or
+    ``reoptimize``: the tableau ``B^-1 [A I b]`` in complemented variables
+    (its last column the basic variables' values), the basic column indices,
+    and the mask of complemented (at-upper-bound) columns.  A solution built
+    elsewhere has None and carries no certificate.
     """
 
     point: Array
@@ -63,7 +66,7 @@ def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
     rule (lowest improving index) until a step makes progress, which prevents
     cycling.  Ratio-test ties go to the lowest basic-variable index.  The
     result is a pure, deterministic function of (P, c); it carries its final
-    simplex basis, for ``still_optimal``.
+    simplex basis, for ``reoptimize``.
     """
     c = as_point(c, P.dimension)
     n, m = P.dimension, P.num_rows
@@ -74,98 +77,136 @@ def linear_maximize(P: PolytopeDomain, c) -> LPSolution:
     T[:, -1] = P.b
     z = np.zeros(ncols)   # reduced costs
     z[:n] = c
+    return _simplex(P, c, T, z, np.arange(n, ncols), np.zeros(ncols, dtype=bool))
+
+
+def reoptimize(P: PolytopeDomain, sol: LPSolution, c) -> LPSolution:
+    """Return a vertex of P maximizing <c, x>, resuming the simplex from the
+    final basis of ``sol``, an earlier solution of ``linear_maximize`` or
+    ``reoptimize`` on the same P.
+
+    The primal solution of a basis does not depend on the costs, so the
+    basis stays feasible and only its reduced costs ``c~ - c~_B T`` are
+    recomputed (``c~ = [c, 0]`` with the complemented entries negated).  If
+    none is above the simplex's stopping threshold, the basis proves the
+    vertex optimal for c as well and ``sol`` itself is returned (its
+    ``objective`` still that of the cost it was solved for); otherwise
+    the pivot loop of ``linear_maximize`` runs on a copy of the basis, so
+    ``sol`` is never changed.  Its vertex maximizes <c, x> as a cold solve's
+    does, but the tableau carries the earlier pivots' round-off, so the
+    point may differ from a cold solve's in the last bits.  Raises
+    ``ValueError`` when ``sol`` carries no basis.
+    """
+    if sol.basis is None:
+        raise ValueError("reoptimize needs a solution that carries its simplex basis")
+    c = as_point(c, P.dimension)
+    T, basis, flipped = sol.basis
+    cost = np.zeros(T.shape[1] - 1)
+    cost[:P.dimension] = c
+    cost[flipped] *= -1.0
+    z = cost - cost[basis] @ T[:, :-1]
+    if z.max(initial=-np.inf) <= _EPS_COST:
+        return sol
+    return _simplex(P, c, T.copy(), z, basis.copy(), flipped.copy())
+
+
+def _simplex(P: PolytopeDomain, c: Array, T: Array, z: Array, basis: Array,
+             flipped: Array) -> LPSolution:
+    """The pivot loop of ``linear_maximize`` from a primal-feasible basis: the
+    tableau ``T = B^-1 [A I b]`` in complemented variables, the reduced costs
+    z, the basic column indices and the complemented mask, all updated in
+    place.  Returns the final vertex with its basis."""
+    n, m = P.dimension, P.num_rows
+    ncols = n + m
     ub = np.concatenate([P.upper, np.full(m, np.inf)])
-    basis = np.arange(n, ncols)
-    flipped = np.zeros(ncols, dtype=bool)
+    ub_basic = ub[basis]
+    rhs = T[:, -1]
     bland = False
-    for _ in range(1000 + 50 * ncols):
-        if bland:
-            improving = np.flatnonzero(z > _EPS_COST)
-            if improving.size == 0:
-                break
-            j = int(improving[0])
+    # the ratio test divides by every entry of the column; the masks keep the
+    # quotients of the ones too small to pivot on out of it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(1000 + 50 * ncols):
+            if bland:
+                improving = np.flatnonzero(z > _EPS_COST)
+                if improving.size == 0:
+                    break
+                j = int(improving[0])
+            else:
+                j = int(np.argmax(z))
+                if z[j] <= _EPS_COST:
+                    break
+            col = T[:, j]
+            # a basic variable falls to 0 where col > 0, rises to its bound where col < 0
+            ratios = np.where(col > _EPS_PIVOT, rhs / col,
+                              np.where(col < -_EPS_PIVOT, (ub_basic - rhs) / -col, np.inf))
+            step = ratios.min(initial=np.inf)
+            if ub[j] <= step:   # x_j reaches its own bound first: flip, no pivot
+                if ub[j] == np.inf:
+                    raise RuntimeError("unbounded LP; impossible on a box-bounded polytope")
+                step = ub[j]
+                rhs -= step * col
+                col *= -1.0
+                z[j] = -z[j]
+                flipped[j] = not flipped[j]
+            else:
+                tied = np.flatnonzero(ratios <= step + 1e-10 * (1.0 + abs(step)))
+                i = int(tied[np.argmin(basis[tied])])
+                if col[i] < 0:   # complement the leaver so that it leaves at 0
+                    k = basis[i]
+                    T[i] *= -1.0
+                    T[i, k] = 1.0
+                    T[i, -1] += ub[k]
+                    flipped[k] = not flipped[k]
+                row = T[i]
+                row /= row[j]
+                fac = T[:, j].copy()
+                fac[i] = 0.0
+                T -= fac[:, None] * row
+                z -= z[j] * row[:ncols]
+                basis[i] = j
+                ub_basic[i] = ub[j]
+            bland = step <= _EPS_STEP
         else:
-            j = int(np.argmax(z))
-            if z[j] <= _EPS_COST:
-                break
-        col = T[:, j]
-        rhs = T[:, -1]
-        # a basic variable falls to 0 where col > 0, rises to its bound where col < 0
-        ratios = np.full(m, np.inf)
-        down = col > _EPS_PIVOT
-        ratios[down] = rhs[down] / col[down]
-        up = col < -_EPS_PIVOT
-        ratios[up] = (ub[basis[up]] - rhs[up]) / -col[up]
-        step = ratios.min(initial=np.inf)
-        if ub[j] <= step:   # x_j reaches its own bound first: flip, no pivot
-            if ub[j] == np.inf:
-                raise RuntimeError("unbounded LP; impossible on a box-bounded polytope")
-            step = ub[j]
-            rhs -= step * col
-            col *= -1.0
-            z[j] = -z[j]
-            flipped[j] = not flipped[j]
-        else:
-            tied = np.flatnonzero(ratios <= step + 1e-10 * (1.0 + abs(step)))
-            i = int(tied[np.argmin(basis[tied])])
-            if col[i] < 0:   # complement the leaver so that it leaves at 0
-                k = basis[i]
-                T[i] *= -1.0
-                T[i, k] = 1.0
-                T[i, -1] += ub[k]
-                flipped[k] = not flipped[k]
-            T[i] /= T[i, j]
-            fac = T[:, j].copy()
-            fac[i] = 0.0
-            T -= np.outer(fac, T[i])
-            z -= z[j] * T[i, :ncols]
-            basis[i] = j
-        bland = step <= _EPS_STEP
-    else:
-        raise RuntimeError(f"simplex cycling guard exceeded; last basis {basis.tolist()}")
+            raise RuntimeError(f"simplex cycling guard exceeded; last basis {basis.tolist()}")
 
     y = np.zeros(ncols)
     y[basis] = T[:, -1]
     x = np.where(flipped[:n], P.upper - y[:n], y[:n])
     np.clip(x, 0.0, P.upper, out=x)
-    return LPSolution(point=x, objective=float(c @ x),
-                      basis=(T[:, :ncols], basis, flipped))
+    return LPSolution(point=x, objective=float(c @ x), basis=(T, basis, flipped))
 
 
-def still_optimal(sol: LPSolution, c) -> bool:
-    """True iff the final simplex basis of ``sol`` proves its vertex optimal
-    for the cost vector c as well.
-
-    The primal solution of a basis does not depend on the costs, so only the
-    reduced costs ``c~ - c~_B T`` need recomputing (``c~ = [c, 0]`` with the
-    complemented entries negated).  The test is the simplex's own stopping
-    rule: no reduced cost above ``_EPS_COST``.  False when ``sol`` carries no
-    basis.
-    """
-    if sol.basis is None:
-        return False
-    T, basis, flipped = sol.basis
-    cost = np.zeros(T.shape[1])
-    cost[:len(sol.point)] = as_point(c, len(sol.point))
-    cost[flipped] *= -1.0
-    reduced = cost - cost[basis] @ T
-    return bool(reduced.max(initial=-np.inf) <= _EPS_COST)
-
-
-def _nnls(M: Array, d: Array) -> Array:
+def _nnls(M: Array, d: Array, passive: Array | None = None) -> tuple[Array, Array]:
     """``argmin ||M u - d||`` over ``u >= 0`` by Lawson and Hanson's active set:
-    least squares on the free columns, stepping back to ``u >= 0`` and fixing
-    at 0 the columns that reach it.  Raises after ``3k`` steps."""
+    least squares on the free (passive) columns, stepping back to ``u >= 0``
+    and fixing at 0 the columns that reach it.  Returns u and its final
+    passive set.  Raises after ``3k`` steps.
+
+    The loop starts from ``passive`` when one is given, as Bro and De Jong
+    (1997) start it: least squares on those columns, dropping the ones that
+    come out nonpositive until the rest are positive; then the loop goes on
+    from that point.  If every column drops out it starts from u = 0, as it
+    does without a start.  The same final passive set gives the same
+    ``lstsq`` and so the same bits, however the loop got there.
+    """
     k = M.shape[1]
     tol = 10.0 * max(M.shape) * np.finfo(float).eps * max(1.0, np.abs(M).sum(axis=0).max())
-    u, passive = np.zeros(k), np.zeros(k, dtype=bool)
+    u = np.zeros(k)
+    passive = np.zeros(k, dtype=bool) if passive is None else passive.copy()
+    while passive.any():
+        s = np.zeros(k)
+        s[passive] = np.linalg.lstsq(M[:, passive], d, rcond=None)[0]
+        if s[passive].min() > 0:
+            u = s
+            break
+        passive &= s > 0
     enter = True
     for _ in range(3 * k):
         if enter:
             w = np.where(passive, -np.inf, M.T @ (d - M @ u))
             j = int(np.argmax(w))
             if w[j] <= tol:
-                return u
+                return u, passive
             passive[j] = True
         s = np.zeros(k)
         s[passive] = np.linalg.lstsq(M[:, passive], d, rcond=None)[0]
@@ -179,7 +220,7 @@ def _nnls(M: Array, d: Array) -> Array:
     raise RuntimeError(f"NNLS active set did not settle within {3 * k} steps")
 
 
-def project_polytope(P: PolytopeDomain, x) -> Array:
+def project_polytope(P: PolytopeDomain, x, passive: Array | None = None) -> Array:
     """Euclidean projection of x onto P, as one least-distance program.
 
     The nearest point is ``x + z`` for the shortest z with ``G (x + z) <= h``,
@@ -190,6 +231,14 @@ def project_polytope(P: PolytopeDomain, x) -> Array:
     points lose no digits.  Finite and deterministic; the result is clipped
     into the box against round-off.  P may also be a ``BoxDomain``: without
     rows, the clip into ``[lower, upper]`` alone is the projection.
+
+    ``passive`` carries the NNLS from one call to the next: a bool array over
+    the ``m + 2n`` constraints of G, the passive set to start from, which the
+    call overwrites with its final one (untouched without rows).  Nearby
+    points share almost all of it, so a projection started from the last
+    one's set takes about one least-squares solve.  Without it the NNLS
+    starts cold.  A warm and a cold call that end on the same set return the
+    same bits; otherwise they agree to round-off.
     """
     x = as_point(x, P.dimension)
     if not P.num_rows:
@@ -199,7 +248,10 @@ def project_polytope(P: PolytopeDomain, x) -> Array:
     M = np.vstack([np.hstack([-P.A.T, np.eye(n), -np.eye(n)]),
                    np.concatenate([P.A @ x - P.b, -x, x - P.upper]) / s])
     e = np.eye(n + 1)[n]
-    r = M @ _nnls(M, e) - e
+    u, final = _nnls(M, e, passive)
+    if passive is not None:
+        passive[:] = final
+    r = M @ u - e
     return np.clip(x - s * r[:n] / r[n], 0.0, P.upper)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (Array, BoxDomain, ObjectiveHandle, PolytopeDomain,
                    SolverTrace, as_point, as_stack, check_positive_int, eval_batch)
-from .geometry import LPSolution, feasibility_residual, linear_maximize, still_optimal
+from .geometry import LPSolution, feasibility_residual, linear_maximize, reoptimize
 
 QUADRATIC_MODE = "quadratic_closed_form"
 CONCAVE_MODE = "concave_search"
@@ -74,22 +74,25 @@ def frank_wolfe_variant(
     stepsize 1/K; returns the final point and the full trace.
 
     The oracle defaults to the exact LP vertex solver; an approximate one may
-    be injected for error-level experiments.  The oracle is called only when
-    the previous iteration's solution fails ``still_optimal`` for the new
-    gradient: with small stepsizes the gradient moves little and the optimal
-    vertex seldom changes.  A solution without a stored basis (as an injected
-    oracle may return) never passes, so such an oracle is called every
-    iteration.  Each step is min(1/K, 1 - t) for the running sum t of the
-    earlier ones, and the last step sets t to 1 however that float sum
-    rounded, so the run ends on t = 1 without overshoot.
+    be injected for error-level experiments.  The oracle is called for the
+    first vertex only: each later one is ``reoptimize``d from the previous
+    iteration's simplex basis.  With small stepsizes the gradient moves
+    little, so that basis is often still optimal (the vertex is kept, with
+    no pivot) or a pivot or two away from the new optimum.  A solution
+    without a stored basis (as an injected oracle may return) cannot be
+    resumed, so such an oracle is called every iteration.  Each step is
+    min(1/K, 1 - t) for the running sum t of the earlier ones, and the last
+    step sets t to 1 however that float sum rounded, so the run ends on
+    t = 1 without overshoot.
 
     ``trace.meta["opt_upper_bound"]`` is the certified upper bound
     ``min_k f(x_k) + (<grad f(x_k), v_k> + delta) / alpha`` on the optimum:
     for a monotone f with diminishing returns,
     ``OPT <= f(x) + max_{v in P} <grad f(x), v>`` at every x.
-    ``trace.meta["lp_calls"]`` counts the oracle calls and
-    ``trace.meta["lp_kept"]`` the iterations that kept the previous vertex;
-    the two sum to K.
+    ``trace.meta["lp_calls"]`` counts the oracle calls,
+    ``trace.meta["lp_warm"]`` the iterations that pivoted on from the
+    previous basis and ``trace.meta["lp_kept"]`` those that kept the previous
+    vertex; the three sum to K.
     """
     if not (f.monotone and f.dr_submodular):
         raise ValueError("requires a monotone objective with diminishing returns")
@@ -102,7 +105,7 @@ def frank_wolfe_variant(
     x = np.zeros(P.dimension)
     t = 0.0
     sol = None
-    lp_calls = 0
+    lp_calls = lp_warm = 0
     upper_bound = np.inf
     trace = SolverTrace(meta={"algorithm": "frank_wolfe", "gamma": gamma,
                               "alpha": cfg.alpha, "delta": cfg.delta})
@@ -113,9 +116,12 @@ def frank_wolfe_variant(
         except ValueError as e:
             raise SolverAbort(f"frank_wolfe: gradient of {f.name!r} failed at "
                               f"iteration {k}: {e}", trace) from e
-        if sol is None or not still_optimal(sol, grad):
+        if sol is None or sol.basis is None:
             sol = oracle(P, grad)
             lp_calls += 1
+        else:
+            kept, sol = sol, reoptimize(P, sol, grad)
+            lp_warm += sol is not kept
         # a kept solution's objective belongs to an earlier gradient
         upper_bound = min(upper_bound, trace.records[-1].objective
                           + (float(grad @ sol.point) + cfg.delta) / cfg.alpha)
@@ -123,8 +129,8 @@ def frank_wolfe_variant(
         x = x + step * sol.point
         t = 1.0 if k == cfg.K - 1 else t + step
         trace.append(k + 1, t, f.value(x), feasibility_residual(P, x))
-    trace.meta.update(opt_upper_bound=upper_bound, lp_calls=lp_calls,
-                      lp_kept=cfg.K - lp_calls)
+    trace.meta.update(opt_upper_bound=upper_bound, lp_calls=lp_calls, lp_warm=lp_warm,
+                      lp_kept=cfg.K - lp_calls - lp_warm)
     return x, trace
 
 

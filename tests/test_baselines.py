@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from subcont import (BoxDomain, DGConfig, PolytopeDomain, QuadraticInstance,
-                     check_hessian_offdiag, double_greedy, feasibility_residual,
+from subcont import (BoxDomain, DGConfig, PolytopeDomain, QuadraticInstance, baselines,
+                     check_hessian_offdiag, double_greedy, feasibility_residual, geometry,
                      gen_monotone_nqp, gen_nonmonotone_nqp, hit_and_run, proj_grad_ascent,
                      random_best_of, random_cube_baseline, single_greedy)
 from subcont.core import eval_batch
@@ -139,6 +139,27 @@ def test_proj_grad_evaluates_f_once_per_iterate():
     x, trace = proj_grad_ascent(f, SIMPLEX, 0.1, 7)
     assert len(calls) == 7 + 1
     assert trace.final_objective == float(np.sum(x))
+
+
+def test_proj_grad_carried_passive_set_gives_the_cold_runs_bits(monkeypatch):
+    # consecutive projections end on the same NNLS passive set, so starting
+    # each from the last one's set reaches the cold start's lstsq, bit for bit
+    inst, P = gen_monotone_nqp(100, 50, 0)
+    handle = inst.handle(P.box())
+    starts = []
+
+    def recorded(P, x, passive):
+        starts.append(int(passive.sum()))
+        return geometry.project_polytope(P, x, passive)
+
+    monkeypatch.setattr(baselines, "project_polytope", recorded)
+    warm, warm_trace = proj_grad_ascent(handle, P, 1e-2, 50)
+    assert starts[0] == 0 and min(starts[1:]) > 0
+    monkeypatch.setattr(baselines, "project_polytope",
+                        lambda P, x, passive: geometry.project_polytope(P, x))
+    cold, cold_trace = proj_grad_ascent(handle, P, 1e-2, 50)
+    assert warm.tobytes() == cold.tobytes()
+    assert warm_trace.objectives().tobytes() == cold_trace.objectives().tobytes()
 
 
 def test_single_greedy_modular():

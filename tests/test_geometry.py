@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from subcont import (BoxDomain, LPSolution, PolytopeDomain, feasibility_residual,
                      gen_monotone_nqp, hit_and_run, linear_maximize,
-                     project_polytope, ratio_shrink, still_optimal)
+                     project_polytope, ratio_shrink, reoptimize)
 
 from lp_reference import (active_constraints, constraint_normals, enumerate_vertices,
                           nonbasic_constraints)
@@ -86,12 +86,13 @@ def _assert_basis_vertex(P, sol):
 
 def _assert_optimal_vertex(P, c, sol):
     """sol maximizes <c, x> over P, is feasible, is a vertex of its stored
-    basis, and that basis certifies it for c."""
+    basis, and that basis certifies it for c: a resume prices no improving
+    column and hands sol back."""
     best = max(float(c @ v) for v in enumerate_vertices(P))
-    assert sol.objective == pytest.approx(best, abs=1e-8)
+    assert float(c @ sol.point) == pytest.approx(best, abs=1e-8)
     assert feasibility_residual(P, sol.point) <= 1e-9
     _assert_basis_vertex(P, sol)
-    assert still_optimal(sol, c)
+    assert reoptimize(P, sol, c) is sol
 
 
 def test_linear_maximize_examples():
@@ -205,20 +206,17 @@ def test_linear_maximize_matches_enumeration_on_degenerate_polytopes(lp):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_degenerate_lp(), st.data())
-def test_still_optimal_accepts_only_optimal_vertices_on_degenerate_polytopes(lp, data):
-    # costs on the same coarse grid tie often, so a second cost vector is
-    # frequently certified by the first one's basis
+def test_reoptimize_from_another_costs_basis_on_degenerate_polytopes(lp, data):
+    # costs on the same coarse grid tie often, so the first cost's basis is
+    # frequently kept as it is; otherwise the resume pivots from it
     P, c = lp
     c2 = np.array(data.draw(st.lists(_COSTS, min_size=P.dimension, max_size=P.dimension)))
-    sol = linear_maximize(P, c)
-    if still_optimal(sol, c2):
-        best = max(float(c2 @ v) for v in enumerate_vertices(P))
-        assert float(c2 @ sol.point) == pytest.approx(best, abs=1e-8)
+    _assert_optimal_vertex(P, c2, reoptimize(P, linear_maximize(P, c), c2))
 
 
-def test_still_optimal_under_perturbed_costs():
-    # random polytopes are nondegenerate, so the basis of a vertex is unique
-    # and a rejected vertex is strictly worse than the optimum
+def test_reoptimize_under_perturbed_costs():
+    # random polytopes are nondegenerate, so the basis of a vertex is unique:
+    # a kept vertex is optimal, and a vertex left behind is strictly worse
     rng = np.random.default_rng(5)
     verdicts = []
     for trial in range(100):
@@ -227,21 +225,35 @@ def test_still_optimal_under_perturbed_costs():
         sol = linear_maximize(P, c)
         for scale in (1e-3, 0.1, 1.0):
             c2 = c + scale * rng.normal(size=P.dimension)
-            best = max(float(c2 @ v) for v in enumerate_vertices(P))
-            kept = still_optimal(sol, c2)
-            if kept:
-                assert float(c2 @ sol.point) == pytest.approx(best, abs=1e-8)
-            else:
+            warm = reoptimize(P, sol, c2)
+            _assert_optimal_vertex(P, c2, warm)
+            kept = warm is sol
+            if not kept:
+                best = max(float(c2 @ v) for v in enumerate_vertices(P))
                 assert float(c2 @ sol.point) < best
             verdicts.append(kept)
     assert any(verdicts) and not all(verdicts)
 
 
-def test_still_optimal_needs_a_stored_basis():
+def test_reoptimize_needs_a_stored_basis():
     c = np.array([2.0, 1.0])
     sol = linear_maximize(SIMPLEX, c)
-    assert still_optimal(sol, c)
-    assert not still_optimal(LPSolution(sol.point, sol.objective), c)
+    assert reoptimize(SIMPLEX, sol, c) is sol
+    with pytest.raises(ValueError, match="carries its simplex basis"):
+        reoptimize(SIMPLEX, LPSolution(sol.point, sol.objective), c)
+
+
+def test_reoptimize_leaves_the_kept_solution_unchanged():
+    inst, P = gen_monotone_nqp(30, 15, 0)
+    c = inst.gradient(np.zeros(30))
+    sol = linear_maximize(P, c)
+    before = [sol.point.tobytes(), *(a.tobytes() for a in sol.basis)]
+    c2 = c[::-1].copy()
+    warm = reoptimize(P, sol, c2)
+    assert warm is not sol   # the resume pivoted
+    assert float(c2 @ warm.point) == pytest.approx(linear_maximize(P, c2).objective, rel=1e-12)
+    assert [sol.point.tobytes(), *(a.tobytes() for a in sol.basis)] == before
+    assert not any(np.shares_memory(a, b) for a, b in zip(sol.basis, warm.basis))
 
 
 def test_linear_maximize_deterministic():
@@ -330,6 +342,62 @@ def test_project_onto_a_box_is_the_clip_into_its_corners_bit_for_bit():
         y = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 3.0)
         assert project_polytope(box, y).tobytes() == \
             np.clip(y, box.lower, box.upper).tobytes()
+
+
+def test_project_overwrites_the_passive_set_it_starts_from():
+    inst, P = gen_monotone_nqp(30, 15, 0)
+    y = 1e-2 * inst.gradient(np.zeros(30))
+    passive = np.zeros(15 + 60, dtype=bool)
+    cold = project_polytope(P, y, passive)
+    assert cold.tobytes() == project_polytope(P, y).tobytes()
+    assert passive.any()
+    final = passive.copy()
+    assert project_polytope(P, y, passive).tobytes() == cold.tobytes()
+    assert np.array_equal(passive, final)
+    box = BoxDomain(np.zeros(3), np.ones(3))   # no rows: a clip, the set untouched
+    untouched = np.ones(6, dtype=bool)
+    project_polytope(box, [2.0, -1.0, 0.5], untouched)
+    assert untouched.all()
+
+
+def test_project_from_a_start_whose_columns_all_drop_out_is_the_cold_answer():
+    # the lower bounds of the coordinates with y_i > 0 all hold with slack at
+    # y: least squares on their columns comes out negative on every one, so
+    # the NNLS starts from u = 0 as a cold one does
+    inst, P = gen_monotone_nqp(30, 15, 1)
+    y = 1e-2 * inst.gradient(np.zeros(30))
+    cold_set = np.zeros(15 + 60, dtype=bool)
+    cold = project_polytope(P, y, cold_set)
+    start = np.zeros(15 + 60, dtype=bool)
+    start[15:45] = y > 0
+    assert start.any()
+    warm = project_polytope(P, y, start)
+    assert warm.tobytes() == cold.tobytes()
+    assert np.array_equal(start, cold_set)
+
+
+def test_project_from_another_passive_set_agrees_with_the_cold_answer():
+    # a duplicated row makes the NNLS solution non-unique, so a start may end
+    # on another final set than the cold one; the nearest point is the same
+    rng = np.random.default_rng(3)
+    ended_elsewhere = 0
+    for trial in range(200):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        A = rng.uniform(0.0, 1.0, size=(m, n))
+        b = rng.uniform(0.3, 1.5, size=m)
+        P = PolytopeDomain(np.vstack([A, A[:1]]), np.append(b, b[0]),
+                           rng.uniform(0.3, 1.5, size=n))
+        y = 3.0 * rng.normal(size=n)
+        cold_set = np.zeros(m + 1 + 2 * n, dtype=bool)
+        cold = project_polytope(P, y, cold_set)
+        passive = rng.random(m + 1 + 2 * n) < 0.5
+        warm = project_polytope(P, y, passive)
+        if np.array_equal(passive, cold_set):
+            assert warm.tobytes() == cold.tobytes()
+        else:
+            ended_elsewhere += 1
+            assert np.abs(warm - cold).max() <= 1e-12 * max(1.0, np.abs(cold).max())
+    assert ended_elsewhere > 0
 
 
 # -------------------------------------------------------------- hit-and-run

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from subcont import (BoxDomain, DGConfig, FWConfig, LPSolution, ObjectiveHandle,
-                     PolytopeDomain, QuadraticInstance, SolverAbort,
-                     double_greedy, frank_wolfe_variant, gen_bipartite_influence,
+                     PolytopeDomain, QuadraticInstance, SolverAbort, double_greedy,
+                     feasibility_residual, frank_wolfe_variant, gen_bipartite_influence, geometry,
                      gen_monotone_nqp, gen_nonmonotone_nqp, gen_revenue, grid_brute_force,
-                     largest_abs_eigenvalue, linear_maximize, maximize_1d, single_greedy)
+                     largest_abs_eigenvalue, linear_maximize, maximize_1d, single_greedy,
+                     solvers)
 from subcont.solvers import _INVPHI, CONCAVE_MODE, QUADRATIC_MODE, REVENUE_MODE
 from subcont.zoo import RevenueInstance
 
 from handles import scalar_handle
-from lp_reference import active_constraints
+from lp_reference import active_constraints, nonbasic_constraints
 
 
 def _box_polytope(n, upper=1.0):
@@ -117,38 +118,44 @@ def test_fw_schedule_summing_to_one_by_rounding_calls_the_oracle_once_per_step()
 
 def _fw_vertex_path(inst, P, K, strip):
     """Active constraints of the vertex FW steps along at each iteration, the
-    final objective and the number of oracle calls; with ``strip`` the oracle
-    hides its basis, so every iteration solves cold."""
-    iteration = [0]
-    calls = []
+    final objective and the trace's LP counters (oracle calls, warm re-solves,
+    kept vertices).  With ``strip`` the oracle hides its basis, so every
+    iteration solves cold; otherwise the later iterations resume from the
+    kept basis through ``reoptimize``."""
+    path = []
 
-    def grad(x):
-        iteration[0] += 1
-        return inst.gradient(x)
+    def record(sol):
+        path.append(active_constraints(P, sol.point))
+        return sol
 
     def oracle(P, c):
-        sol = linear_maximize(P, c)
-        calls.append((iteration[0], active_constraints(P, sol.point)))
+        sol = record(linear_maximize(P, c))
         return _without_basis(sol) if strip else sol
 
-    handle = dataclasses.replace(inst.handle(P.box()), gradient=grad)
-    _, trace = frank_wolfe_variant(handle, P, FWConfig(K=K), oracle=oracle)
-    path = [max((c for c in calls if c[0] <= k), key=lambda c: c[0])[1]
-            for k in range(1, iteration[0] + 1)]
-    return path, trace.final_objective, len(calls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "reoptimize",
+                   lambda P, sol, c: record(geometry.reoptimize(P, sol, c)))
+        _, trace = frank_wolfe_variant(inst.handle(P.box()), P, FWConfig(K=K), oracle=oracle)
+    assert len(path) == K   # one solve per iteration
+    counts = (trace.meta["lp_calls"], trace.meta["lp_warm"], trace.meta["lp_kept"])
+    return path, trace.final_objective, counts
 
 
 def test_fw_reusing_a_certified_vertex_matches_cold_solves():
     K = 30
+    warm_total = 0
     for seed in range(3):
         inst, P0 = gen_monotone_nqp(30, 15, seed)
         for budget in (0.5, 1.0, 1.5):
             P = PolytopeDomain(P0.A, np.full(15, budget), P0.upper)
-            path, value, calls = _fw_vertex_path(inst, P, K, strip=False)
-            cold_path, cold_value, cold_calls = _fw_vertex_path(inst, P, K, strip=True)
+            path, value, (calls, warm, kept) = _fw_vertex_path(inst, P, K, strip=False)
+            cold_path, cold_value, cold_counts = _fw_vertex_path(inst, P, K, strip=True)
             assert path == cold_path
             assert value == pytest.approx(cold_value, rel=1e-12)
-            assert cold_calls == len(path) >= K and calls < K
+            assert cold_counts == (K, 0, 0)
+            assert calls == 1 and calls + warm + kept == K and kept > 0
+            warm_total += warm
+    assert warm_total > 0
 
 
 def test_fw_lp_counters_sum_to_K():
@@ -163,13 +170,42 @@ def test_fw_lp_counters_sum_to_K():
         return linear_maximize(P, c)
 
     _, trace = frank_wolfe_variant(handle, P, FWConfig(K=K), oracle=counted)
-    assert trace.meta["lp_calls"] == len(calls)
-    assert trace.meta["lp_calls"] + trace.meta["lp_kept"] == K
-    assert trace.meta["lp_kept"] > 0
-    # an oracle without a basis never passes still_optimal
+    meta = trace.meta
+    assert meta["lp_calls"] == len(calls) == 1
+    assert meta["lp_calls"] + meta["lp_warm"] + meta["lp_kept"] == K
+    assert meta["lp_warm"] > 0 and meta["lp_kept"] > 0
+    # an oracle whose solutions carry no basis cannot be resumed: it is
+    # called every iteration
+    calls.clear()
     _, cold = frank_wolfe_variant(handle, P, FWConfig(K=K),
-                                  oracle=lambda P, c: _without_basis(linear_maximize(P, c)))
-    assert (cold.meta["lp_calls"], cold.meta["lp_kept"]) == (K, 0)
+                                  oracle=lambda P, c: _without_basis(counted(P, c)))
+    assert len(calls) == K
+    assert (cold.meta["lp_calls"], cold.meta["lp_warm"], cold.meta["lp_kept"]) == (K, 0, 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fw_warm_resolves_agree_with_cold_solves_at_paper_scale(seed, monkeypatch):
+    # every re-solve along FW's gradient sequence, whether it kept the vertex
+    # or pivoted on, against a cold solve of the same gradient
+    inst, P0 = gen_monotone_nqp(100, 50, seed)
+    pivoted = []
+
+    def checked(P, sol, c):
+        warm = geometry.reoptimize(P, sol, c)
+        cold = linear_maximize(P, c)
+        assert abs(float(c @ warm.point) - cold.objective) <= 1e-12 * abs(cold.objective)
+        assert feasibility_residual(P, warm.point) <= 1e-9
+        assert geometry.reoptimize(P, warm, c) is warm   # its basis needs no pivot
+        if warm is not sol:
+            assert set(nonbasic_constraints(P, warm)) <= set(active_constraints(P, warm.point))
+        pivoted.append(warm is not sol)
+        return warm
+
+    monkeypatch.setattr(solvers, "reoptimize", checked)
+    for budget in (0.5, 1.0, 1.5):
+        P = PolytopeDomain(P0.A, np.full(50, budget), P0.upper)
+        frank_wolfe_variant(inst.handle(P.box()), P, FWConfig(K=50))
+    assert len(pivoted) == 3 * 49 and any(pivoted)
 
 
 def test_fw_certified_upper_bound_on_the_optimum():
